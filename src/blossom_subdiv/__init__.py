@@ -29,14 +29,12 @@ from .oracle import (
     monomial_blossom_triangle,
 )
 from .subdivision import (
-    TriangularLoopBounds,
     iter_placements,
     placement_count_u_first,
     placement_count_v_first,
     subdivide_curve,
     subdivide_tensor,
     subdivide_triangle,
-    triangular_bounds,
 )
 
 __version__ = "0.1.0"
@@ -72,8 +70,6 @@ __all__ = [
     "subdivide_curve",
     "subdivide_tensor",
     "subdivide_triangle",
-    "triangular_bounds",
-    "TriangularLoopBounds",
     "iter_placements",
     "placement_count_u_first",
     "placement_count_v_first",

@@ -24,7 +24,6 @@ from .geometry import (
     ParamRect,
     Point2,
     TensorPatch,
-    TrianglePatch,
     de_casteljau_curve,
     de_casteljau_tensor,
     de_casteljau_triangle,
@@ -86,7 +85,7 @@ def _cmd_subdivide_curve(args) -> int:
         raise documents.DocumentError("subdivide-curve needs a 'curve' document")
     interval = ParamInterval(parse_rational(args.a), parse_rational(args.b))
     bezier = subdivide_curve(obj, interval)
-    _write_output(args.output, documents.dumps(documents.bezier_curve_document(bezier, interval)))
+    _write_output(args.output, documents.dumps(documents.bezier_curve_document(bezier)))
     return 0
 
 
@@ -123,10 +122,10 @@ def _cmd_eval(args) -> int:
         if args.v is not None:
             raise documents.DocumentError("curve documents take -u only")
         point = eval_monomial_curve(obj, u)
-    elif isinstance(obj, tuple):  # (BezierCurve, interval)
+    elif isinstance(obj, BezierCurve):
         if args.v is not None:
             raise documents.DocumentError("bezier-curve documents take -u only")
-        point = de_casteljau_curve(obj[0], u)
+        point = de_casteljau_curve(obj, u)
     else:
         if args.v is None:
             raise documents.DocumentError(f"{type(obj).__name__} evaluation needs -u and -v")
@@ -168,8 +167,6 @@ def _cmd_mesh(args) -> int:
     if args.samples < 2:
         raise documents.DocumentError("mesh needs --samples of at least 2")
     obj = documents.parse_any_document(_read_input(args.input))
-    if isinstance(obj, tuple):
-        obj = obj[0]  # bezier-curve: drop the interval, tessellation is in t
     if args.with_net and isinstance(obj, (MonomialCurve, MonomialSurface)):
         _warn("monomial documents have no control net; ignoring --with-net")
     _write_output(args.output, mesh_document(obj, args.samples, args.with_net))

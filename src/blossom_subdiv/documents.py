@@ -29,7 +29,7 @@ SURFACE_KINDS = ("curve", "surface")
 PATCH_KINDS = ("bezier-curve", "tpb-patch", "tb-patch")
 
 InputObject = Union[MonomialCurve, MonomialSurface]
-PatchObject = Union[tuple[BezierCurve, ParamInterval], TensorPatch, TrianglePatch]
+PatchObject = Union[BezierCurve, TensorPatch, TrianglePatch]
 
 
 class DocumentError(ValueError):
@@ -68,11 +68,25 @@ def dumps(document: dict) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"duplicate key {key!r} in JSON object")
+        obj[key] = value
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _loads(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     return obj
@@ -95,43 +109,44 @@ def surface_document(surface: MonomialSurface) -> dict:
     }
 
 
+def _degrees(obj: dict, rank: int) -> list[int]:
+    """The "degree" array of a document: rank non-negative integers.
+    JSON booleans are not integers here, although Python's bool is one."""
+    degree = obj.get("degree")
+    if not (
+        isinstance(degree, list)
+        and len(degree) == rank
+        and all(type(d) is int and d >= 0 for d in degree)
+    ):
+        raise DocumentError(
+            f"{obj['kind']} degree must be an array of {rank} non-negative integer(s)"
+        )
+    return degree
+
+
+def _point_grid(raw, degrees: list[int], what: str) -> tuple:
+    """Points nested one array level per degree, degree + 1 entries per
+    level: a list for one degree, a list of rows for two."""
+    if not isinstance(raw, list) or len(raw) != degrees[0] + 1:
+        raise DocumentError(f"{what} must be an array of {degrees[0] + 1} entries")
+    if len(degrees) == 1:
+        return tuple(_point3_from_json(p) for p in raw)
+    return tuple(_point_grid(row, degrees[1:], what) for row in raw)
+
+
 def parse_input_document(text: str) -> InputObject:
     """Parse a monomial curve or surface document."""
     obj = _loads(text)
     kind = obj.get("kind")
     if kind not in SURFACE_KINDS:
         raise DocumentError(f"expected kind 'curve' or 'surface', got {kind!r}")
-    degree = obj.get("degree")
-    coeffs = obj.get("coeffs")
-    if kind == "curve":
-        if not (isinstance(degree, list) and len(degree) == 1 and isinstance(degree[0], int)):
-            raise DocumentError("curve degree must be a 1-element integer array")
-        n = degree[0]
-        if n < 0:
-            raise DocumentError("curve degree must be non-negative")
-        if not isinstance(coeffs, list) or len(coeffs) != n + 1:
-            raise DocumentError(f"curve of degree {n} needs {n + 1} coefficients")
-        return MonomialCurve(tuple(_point3_from_json(c) for c in coeffs))
-    if not (
-        isinstance(degree, list)
-        and len(degree) == 2
-        and all(isinstance(d, int) for d in degree)
-    ):
-        raise DocumentError("surface degree must be a 2-element integer array")
-    n, m = degree
-    if n < 0 or m < 0:
-        raise DocumentError("surface degrees must be non-negative")
-    if not isinstance(coeffs, list) or len(coeffs) != n + 1:
-        raise DocumentError(f"surface of degree ({n}, {m}) needs {n + 1} coefficient rows")
-    rows = []
-    for row in coeffs:
-        if not isinstance(row, list) or len(row) != m + 1:
-            raise DocumentError(f"each coefficient row needs {m + 1} points")
-        rows.append(tuple(_point3_from_json(c) for c in row))
-    return MonomialSurface(tuple(rows))
+    degrees = _degrees(obj, 1 if kind == "curve" else 2)
+    coeffs = _point_grid(obj.get("coeffs"), degrees, f"{kind} coeffs")
+    return MonomialCurve(coeffs) if kind == "curve" else MonomialSurface(coeffs)
 
 
-def bezier_curve_document(bezier: BezierCurve, interval: ParamInterval) -> dict:
+def bezier_curve_document(bezier: BezierCurve) -> dict:
+    interval = bezier.domain
     return {
         "kind": "bezier-curve",
         "degree": [bezier.degree],
@@ -189,49 +204,28 @@ def _parse_interval(raw, keys=("a", "b")) -> ParamInterval:
 def parse_patch_document(text: str) -> PatchObject:
     """Parse a Bernstein-form patch document.
 
-    Returns (BezierCurve, ParamInterval) for curves, TensorPatch or
-    TrianglePatch (with their domains attached) for surfaces.
+    Returns a BezierCurve, TensorPatch or TrianglePatch, each with its
+    domain attached.
     """
     obj = _loads(text)
     kind = obj.get("kind")
     if kind not in PATCH_KINDS:
         raise DocumentError(f"expected a patch kind {PATCH_KINDS}, got {kind!r}")
-    degree = obj.get("degree")
     points = obj.get("control_points")
     domain = obj.get("domain")
     if kind == "bezier-curve":
-        if not (isinstance(degree, list) and len(degree) == 1 and isinstance(degree[0], int)):
-            raise DocumentError("bezier-curve degree must be a 1-element integer array")
-        n = degree[0]
-        if not isinstance(points, list) or len(points) != n + 1:
-            raise DocumentError(f"bezier-curve of degree {n} needs {n + 1} control points")
-        interval = _parse_interval(domain)
-        return BezierCurve(tuple(_point3_from_json(p) for p in points)), interval
+        degrees = _degrees(obj, 1)
+        grid = _point_grid(points, degrees, f"{kind} control_points")
+        return BezierCurve(grid, _parse_interval(domain))
     if kind == "tpb-patch":
-        if not (
-            isinstance(degree, list)
-            and len(degree) == 2
-            and all(isinstance(d, int) for d in degree)
-        ):
-            raise DocumentError("tpb-patch degree must be a 2-element integer array")
-        n, m = degree
-        if not isinstance(points, list) or len(points) != n + 1:
-            raise DocumentError(f"tpb-patch needs {n + 1} control rows")
-        rows = []
-        for row in points:
-            if not isinstance(row, list) or len(row) != m + 1:
-                raise DocumentError(f"each tpb-patch control row needs {m + 1} points")
-            rows.append(tuple(_point3_from_json(p) for p in row))
-        if not isinstance(domain, dict):
-            raise DocumentError("tpb-patch domain must be an object")
+        degrees = _degrees(obj, 2)
+        grid = _point_grid(points, degrees, f"{kind} control_points")
         rect = ParamRect(
             _parse_interval(domain, ("a", "b")), _parse_interval(domain, ("c", "d"))
         )
-        return TensorPatch(tuple(rows), rect)
+        return TensorPatch(grid, rect)
     # tb-patch
-    if not (isinstance(degree, list) and len(degree) == 1 and isinstance(degree[0], int)):
-        raise DocumentError("tb-patch degree must be a 1-element integer array")
-    n_total = degree[0]
+    (n_total,) = _degrees(obj, 1)
     expected = (n_total + 1) * (n_total + 2) // 2
     if not isinstance(points, list) or len(points) != expected:
         raise DocumentError(
@@ -253,7 +247,7 @@ def parse_patch_document(text: str) -> PatchObject:
         if not isinstance(entry, dict) or not {"nu", "mu", "point"} <= entry.keys():
             raise DocumentError("tb-patch control points need nu/mu/point entries")
         nu, mu = entry["nu"], entry["mu"]
-        if not (isinstance(nu, int) and isinstance(mu, int)) or nu < 0 or mu < 0 or nu + mu > n_total:
+        if not (type(nu) is int and type(mu) is int) or nu < 0 or mu < 0 or nu + mu > n_total:
             raise DocumentError(f"invalid tb-patch control index ({nu!r}, {mu!r})")
         if (nu, mu) in by_label:
             raise DocumentError(f"duplicate tb-patch control index ({nu}, {mu})")

@@ -150,9 +150,11 @@ class MonomialSurface:
 
 @dataclass(frozen=True)
 class BezierCurve:
-    """Bernstein-form curve over its subdivision interval."""
+    """Bernstein-form curve; the subdivision interval is kept as its
+    domain, like the surface patches keep theirs."""
 
     control_points: tuple[Point3, ...]
+    domain: ParamInterval
 
     def __post_init__(self):
         object.__setattr__(self, "control_points", tuple(self.control_points))

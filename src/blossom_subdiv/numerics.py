@@ -21,8 +21,9 @@ RATIONAL_ONE = Fraction(1)
 
 # Wire format for rationals: "p/q" or bare "p", optional leading sign on
 # the numerator only. Deliberately tighter than Fraction's own parser
-# (no decimals, no exponents) so files stay exact by construction.
-_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?")
+# (no decimals, no exponents, ASCII digits only) so files stay exact by
+# construction.
+_RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Rational:

@@ -30,7 +30,10 @@ Meshable = Union[MonomialCurve, MonomialSurface, BezierCurve, TensorPatch, Trian
 
 
 def _fmt(value: Fraction) -> str:
-    return format(float(value), ".17g")
+    try:
+        return format(float(value), ".17g")
+    except OverflowError:
+        raise ValueError("a mesh coordinate is beyond the range of a float") from None
 
 
 def _vertex(p: Point3) -> str:

@@ -9,7 +9,6 @@ module provides the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .numerics import RATIONAL_ZERO, TermCounter, binomial, multinomial
@@ -48,7 +47,7 @@ def subdivide_curve(
                     counter.add()
             acc = acc + (s / binomial(n, i)) * coeff
         points.append(acc)
-    return BezierCurve(tuple(points))
+    return BezierCurve(tuple(points), interval)
 
 
 def subdivide_tensor(
@@ -89,87 +88,17 @@ def subdivide_tensor(
     return TensorPatch(tuple(grid), rect)
 
 
-@dataclass(frozen=True)
-class TriangularLoopBounds:
-    """Summation bounds for one (nu, mu, i, j) cell of the triangular
-    formula, refined stage by stage as outer loop indices get fixed.
-
-    Bounds later in the nesting stay None until their prerequisites
-    (i_alpha, then i_beta, then j_alpha) are supplied. Any lo > hi range
-    is empty and contributes nothing.
-    """
-
-    lam: int
-    i_alpha_lo: int
-    i_alpha_hi: int
-    i_beta_lo: Optional[int] = None
-    i_beta_hi: Optional[int] = None
-    i_gamma: Optional[int] = None
-    j_alpha_lo: Optional[int] = None
-    j_alpha_hi: Optional[int] = None
-    j_beta_lo: Optional[int] = None
-    j_beta_hi: Optional[int] = None
-
-
-def triangular_bounds(
-    n_total: int,
-    nu: int,
-    mu: int,
-    i: int,
-    j: int,
-    i_alpha: Optional[int] = None,
-    i_beta: Optional[int] = None,
-    j_alpha: Optional[int] = None,
-) -> TriangularLoopBounds:
-    """Loop bounds for the triangular closed form, computed incrementally.
-
-    With only (nu, mu, i, j) fixed this gives the i_alpha range; supplying
-    i_alpha unlocks the i_beta range, and so on down the nesting order
-    i_alpha, i_beta, j_alpha, j_beta.
-    """
-    if nu < 0 or mu < 0 or nu + mu > n_total:
-        raise ValueError(f"invalid control-point index ({nu}, {mu}) for total degree {n_total}")
-    if i < 0 or j < 0 or i + j > n_total:
-        raise ValueError(f"invalid monomial index ({i}, {j}) for total degree {n_total}")
-    lam = n_total - nu - mu
-    i_alpha_lo = max(0, i + nu - n_total)
-    i_alpha_hi = min(i, nu)
-    bounds = {"lam": lam, "i_alpha_lo": i_alpha_lo, "i_alpha_hi": i_alpha_hi}
-    if i_alpha is None:
-        if i_beta is not None or j_alpha is not None:
-            raise ValueError("inner indices supplied without the outer ones")
-        return TriangularLoopBounds(**bounds)
-    if not i_alpha_lo <= i_alpha <= i_alpha_hi:
-        raise ValueError(f"i_alpha={i_alpha} outside [{i_alpha_lo}, {i_alpha_hi}]")
-    i_beta_lo = max(0, i - i_alpha - lam)
-    i_beta_hi = min(i - i_alpha, mu)
-    bounds.update(i_beta_lo=i_beta_lo, i_beta_hi=i_beta_hi)
-    if i_beta is None:
-        if j_alpha is not None:
-            raise ValueError("j_alpha supplied without i_beta")
-        return TriangularLoopBounds(**bounds)
-    if not i_beta_lo <= i_beta <= i_beta_hi:
-        raise ValueError(f"i_beta={i_beta} outside [{i_beta_lo}, {i_beta_hi}]")
-    i_gamma = i - i_alpha - i_beta
-    j_alpha_lo = max(0, j - (mu - i_beta) - (lam - i_gamma))
-    j_alpha_hi = min(j, nu - i_alpha)
-    bounds.update(i_gamma=i_gamma, j_alpha_lo=j_alpha_lo, j_alpha_hi=j_alpha_hi)
-    if j_alpha is None:
-        return TriangularLoopBounds(**bounds)
-    if not j_alpha_lo <= j_alpha <= j_alpha_hi:
-        raise ValueError(f"j_alpha={j_alpha} outside [{j_alpha_lo}, {j_alpha_hi}]")
-    bounds.update(
-        j_beta_lo=max(0, j - j_alpha - (lam - i_gamma)),
-        j_beta_hi=min(j - j_alpha, mu - i_beta),
-    )
-    return TriangularLoopBounds(**bounds)
-
-
 def iter_placements(
     n_total: int, nu: int, mu: int, i: int, j: int
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """All (i_alpha, i_beta, i_gamma, j_alpha, j_beta, j_gamma) zone splits
-    reachable through the staged bounds, in nesting order."""
+    """Loop bounds of the triangular closed form for one (nu, mu, i, j) cell.
+
+    Yields every (i_alpha, i_beta, i_gamma, j_alpha, j_beta, j_gamma) split
+    of the monomial indices over the zones of nu, mu and N - nu - mu
+    slots, in the nesting order i_alpha, i_beta, j_alpha, j_beta. Each
+    range keeps the later counts within their zone sizes; a range with
+    lo > hi is empty and contributes nothing.
+    """
     lam = n_total - nu - mu
     for i_alpha in range(max(0, i + nu - n_total), min(i, nu) + 1):
         for i_beta in range(max(0, i - i_alpha - lam), min(i - i_alpha, mu) + 1):

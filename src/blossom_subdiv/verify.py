@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import documents
-from .geometry import DomainTriangle, ParamInterval, ParamRect
+from .geometry import BezierCurve, TensorPatch
 from .oracle import blossom_curve, blossom_tensor, blossom_triangle
 from .sampling import random_curve, random_interval, random_rect, random_surface, random_triangle
 from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
@@ -39,57 +39,56 @@ def _point_strings(p) -> list[str]:
     return [str(p.x), str(p.y), str(p.z)]
 
 
-def _check_curve(curve, interval: ParamInterval, trial: int) -> Optional[Mismatch]:
-    n = curve.degree
-    result = subdivide_curve(curve, interval)
-    for nu, got in enumerate(result.control_points):
-        args = (interval.b,) * nu + (interval.a,) * (n - nu)
-        want = blossom_curve(curve, args)
-        if got != want:
-            doc = documents.curve_document(curve)
-            doc["domain"] = {"a": str(interval.a), "b": str(interval.b)}
-            return Mismatch("curve", trial, (nu,), _point_strings(got), _point_strings(want), doc)
-    return None
+def _curve_points(curve, patch):
+    """(index, closed form, oracle) per control point; point nu is the
+    blossom at nu copies of b and n - nu copies of a."""
+    a, b, n = patch.domain.a, patch.domain.b, patch.degree
+    for nu, got in enumerate(patch.control_points):
+        yield (nu,), got, blossom_curve(curve, (b,) * nu + (a,) * (n - nu))
 
 
-def _check_tensor(surface, rect: ParamRect, trial: int) -> Optional[Mismatch]:
-    n, m = surface.degrees
-    result = subdivide_tensor(surface, rect)
-    a, b = rect.u_range.a, rect.u_range.b
-    c, d = rect.v_range.a, rect.v_range.b
-    for nu in range(n + 1):
-        for mu in range(m + 1):
-            got = result.control_points[nu][mu]
-            want = blossom_tensor(
-                surface, (b,) * nu + (a,) * (n - nu), (d,) * mu + (c,) * (m - mu)
-            )
-            if got != want:
-                doc = documents.surface_document(surface)
-                doc["domain"] = {"a": str(a), "b": str(b), "c": str(c), "d": str(d)}
-                return Mismatch(
-                    "tpb", trial, (nu, mu), _point_strings(got), _point_strings(want), doc
-                )
-    return None
+def _tensor_points(surface, patch):
+    n, m = patch.degrees
+    u, v = patch.domain.u_range, patch.domain.v_range
+    for nu, row in enumerate(patch.control_points):
+        for mu, got in enumerate(row):
+            u_args = (u.b,) * nu + (u.a,) * (n - nu)
+            v_args = (v.b,) * mu + (v.a,) * (m - mu)
+            yield (nu, mu), got, blossom_tensor(surface, u_args, v_args)
 
 
-def _check_triangle(surface, tri: DomainTriangle, trial: int) -> Optional[Mismatch]:
-    n, m = surface.degrees
-    n_total = n + m
-    result = subdivide_triangle(surface, tri)
-    for nu, mu, got in result.labelled_points():
+def _triangle_points(surface, patch):
+    tri, n_total = patch.domain, patch.degree
+    for nu, mu, got in patch.labelled_points():
         args = (tri.va,) * nu + (tri.vb,) * mu + (tri.vc,) * (n_total - nu - mu)
-        want = blossom_triangle(surface, args)
-        if got != want:
-            doc = documents.surface_document(surface)
-            doc["domain"] = {
-                "va": [str(tri.va.s), str(tri.va.t)],
-                "vb": [str(tri.vb.s), str(tri.vb.t)],
-                "vc": [str(tri.vc.s), str(tri.vc.t)],
-            }
-            return Mismatch(
-                "tb", trial, (nu, mu), _point_strings(got), _point_strings(want), doc
-            )
-    return None
+        yield (nu, mu), got, blossom_triangle(surface, args)
+
+
+def _trial(rng: random.Random, max_degree: int):
+    """Draw and subdivide one trial's instances, curve then tpb then tb:
+    (shape, input, patch, lazy per-point comparisons)."""
+    curve = random_curve(rng, max_degree)
+    patch = subdivide_curve(curve, random_interval(rng))
+    yield "curve", curve, patch, _curve_points(curve, patch)
+    surface = random_surface(rng, max_degree, max_degree)
+    patch = subdivide_tensor(surface, random_rect(rng))
+    yield "tpb", surface, patch, _tensor_points(surface, patch)
+    surface = random_surface(rng, max_degree, max_degree)
+    patch = subdivide_triangle(surface, random_triangle(rng))
+    yield "tb", surface, patch, _triangle_points(surface, patch)
+
+
+def _counterexample(obj, patch) -> dict:
+    """The input document with the domain as its patch document writes it,
+    so the failing instance can be replayed through the CLI."""
+    if isinstance(patch, BezierCurve):
+        doc, patch_doc = documents.curve_document(obj), documents.bezier_curve_document(patch)
+    elif isinstance(patch, TensorPatch):
+        doc, patch_doc = documents.surface_document(obj), documents.tensor_patch_document(patch)
+    else:
+        doc, patch_doc = documents.surface_document(obj), documents.triangle_patch_document(patch)
+    doc["domain"] = patch_doc["domain"]
+    return doc
 
 
 def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
@@ -105,30 +104,15 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
     rng = random.Random(seed)
     report = VerifyReport(trials=trials, checked_points={"curve": 0, "tpb": 0, "tb": 0})
     for trial in range(trials):
-        curve = random_curve(rng, max_degree)
-        interval = random_interval(rng)
-        mismatch = _check_curve(curve, interval, trial)
-        if mismatch:
-            report.mismatch = mismatch
-            return report
-        report.checked_points["curve"] += curve.degree + 1
-
-        surface = random_surface(rng, max_degree, max_degree)
-        rect = random_rect(rng)
-        mismatch = _check_tensor(surface, rect, trial)
-        if mismatch:
-            report.mismatch = mismatch
-            return report
-        n, m = surface.degrees
-        report.checked_points["tpb"] += (n + 1) * (m + 1)
-
-        surface = random_surface(rng, max_degree, max_degree)
-        tri = random_triangle(rng)
-        mismatch = _check_triangle(surface, tri, trial)
-        if mismatch:
-            report.mismatch = mismatch
-            return report
-        n, m = surface.degrees
-        n_total = n + m
-        report.checked_points["tb"] += (n_total + 1) * (n_total + 2) // 2
+        for shape, obj, patch, points in _trial(rng, max_degree):
+            compared = 0
+            for index, got, want in points:
+                if got != want:
+                    report.mismatch = Mismatch(
+                        shape, trial, index, _point_strings(got), _point_strings(want),
+                        _counterexample(obj, patch),
+                    )
+                    return report
+                compared += 1
+            report.checked_points[shape] += compared
     return report

@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 
 from blossom_subdiv.cli import main
-from blossom_subdiv.documents import dumps, curve_document, parse_patch_document
+from blossom_subdiv.documents import (
+    curve_document,
+    dumps,
+    parse_input_document,
+    parse_patch_document,
+)
 from blossom_subdiv import MonomialCurve, Point3
 
 import golden
@@ -32,7 +37,7 @@ class TestSubdivideCurve:
             ["subdivide-curve", "-i", str(src), "-a", "-5", "-b", "9"], capsys
         )
         assert code == 0
-        bez, interval = parse_patch_document(out)
+        bez = parse_patch_document(out)
         assert bez.control_points == (Point3(2, 3, 4),)
 
     def test_cubic_over_unit_interval(self, capsys):
@@ -41,7 +46,7 @@ class TestSubdivideCurve:
             capsys,
         )
         assert code == 0
-        bez, _ = parse_patch_document(out)
+        bez = parse_patch_document(out)
         assert [p.x for p in bez.control_points] == [0, 0, 0, 1]
 
     def test_negative_rational_endpoint(self, capsys):
@@ -50,8 +55,8 @@ class TestSubdivideCurve:
             capsys,
         )
         assert code == 0
-        bez, interval = parse_patch_document(out)
-        assert str(interval.a) == "-1/2"
+        bez = parse_patch_document(out)
+        assert str(bez.domain.a) == "-1/2"
         assert [str(p.x) for p in bez.control_points] == ["-1/8", "1/8", "-1/8", "1/8"]
 
     def test_malformed_rational_exits_2(self, capsys, tmp_path):
@@ -85,7 +90,7 @@ class TestSubdivideCurve:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         code, out, _ = run(["subdivide-curve", "-a", "0", "-b", "2"], capsys)
         assert code == 0
-        bez, _ = parse_patch_document(out)
+        bez = parse_patch_document(out)
         assert [p.x for p in bez.control_points] == [1, 3]
 
 
@@ -224,21 +229,43 @@ class TestVerify:
         code, _, _ = run(["verify", "--trials", "2", "--max-degree", "0"], capsys)
         assert code == 0
 
-    def test_mismatch_exits_1_with_counterexample(self, capsys, monkeypatch):
-        # Sabotage the oracle so the comparison must fail.
+    @pytest.mark.parametrize(
+        "shape,oracle",
+        [("curve", "blossom_curve"), ("tpb", "blossom_tensor"), ("tb", "blossom_triangle")],
+    )
+    def test_mismatch_exits_1_with_counterexample(
+        self, shape, oracle, capsys, monkeypatch, tmp_path
+    ):
+        # Sabotage one oracle so the comparison for that shape must fail.
         import blossom_subdiv.verify as verify_mod
 
-        real = verify_mod.blossom_curve
+        real = getattr(verify_mod, oracle)
         monkeypatch.setattr(
-            verify_mod,
-            "blossom_curve",
-            lambda curve, args, counter=None: real(curve, args, counter)
-            + Point3(1, 0, 0),
+            verify_mod, oracle, lambda *args, **kw: real(*args, **kw) + Point3(1, 0, 0)
         )
         code, _, err = run(["verify", "--trials", "2", "--max-degree", "1"], capsys)
         assert code == 1
-        assert "counterexample" in err
-        assert "mismatch" in err
+        assert f"mismatch in {shape} trial" in err
+        instance = json.loads(err[err.index("{\n"):])["counterexample"]
+        parse_input_document(dumps(instance))
+        src = tmp_path / "instance.json"
+        src.write_text(dumps(instance))
+
+        # Replay the instance through the CLI: the domain must read back
+        # exactly as the patch document records it.
+        domain = instance["domain"]
+        if shape == "curve":
+            argv = ["subdivide-curve", f"-a={domain['a']}", f"-b={domain['b']}"]
+        elif shape == "tpb":
+            argv = ["subdivide-tpb"] + [f"-{k}={domain[k]}" for k in "abcd"]
+        else:
+            # A leading space keeps argparse from taking a negative vertex
+            # for an option; the rational parser strips it.
+            argv = ["subdivide-tb", "--vertices"]
+            argv += [" {},{}".format(*domain[k]) for k in ("va", "vb", "vc")]
+        code, out, _ = run(argv + ["-i", str(src)], capsys)
+        assert code == 0
+        assert json.loads(out)["domain"] == domain
 
 
 class TestMesh:
@@ -334,6 +361,49 @@ class TestBench:
         assert "skipping oracle" in err
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {row["method"] for row in rows} == {"closed-form"}
+
+
+class TestBoundary:
+    """Every input gives exit 0 or exit 2 with one error line, never a
+    traceback; exit 1 is reserved for a verify mismatch."""
+
+    def _run_document(self, argv, doc, capsys, tmp_path):
+        src = tmp_path / "doc.json"
+        src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(argv + ["-i", str(src)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_boolean_curve_degree_exits_2(self, capsys, tmp_path):
+        doc = {"kind": "curve", "degree": [True], "coeffs": [["1", "0", "0"], ["2", "0", "0"]]}
+        self._run_document(["subdivide-curve", "-a", "0", "-b", "1"], doc, capsys, tmp_path)
+
+    def test_boolean_surface_degree_exits_2(self, capsys, tmp_path):
+        doc = {"kind": "surface", "degree": [1, False], "coeffs": [[["1", "0", "0"]]] * 2}
+        argv = ["subdivide-tpb", "-a", "0", "-b", "1", "-c", "0", "-d", "1"]
+        self._run_document(argv, doc, capsys, tmp_path)
+
+    def test_boolean_tb_patch_index_exits_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "tb_unit_triangle.json").read_text())
+        entry = next(e for e in doc["control_points"] if e["nu"] == 1)
+        entry["nu"] = True
+        self._run_document(["eval", "-u", "0", "-v", "0"], doc, capsys, tmp_path)
+
+    def test_non_ascii_digits_exit_2(self, capsys):
+        argv = ["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-a", "0"]
+        code, out, err = run(argv + ["-b", "\u0661/\u0662"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_mesh_coordinate_beyond_float_range_exits_2(self, capsys, tmp_path):
+        doc = {"kind": "curve", "degree": [0], "coeffs": [["1" + "0" * 400, "0", "0"]]}
+        err = self._run_document(["mesh", "--samples", "2"], doc, capsys, tmp_path)
+        assert "float" in err
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
+        self._run_document(["mesh"], "[" * 200_000, capsys, tmp_path)
 
 
 class TestUsage:

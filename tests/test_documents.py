@@ -61,6 +61,24 @@ class TestInputDocuments:
         with pytest.raises(DocumentError):
             parse_input_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "curve", "kind": "surface", "degree": [0], "coeffs": [["1", "0", "0"]]}',
+            '{"kind": "curve", "degree": [0], "coeffs": [["1", "0", "0"]], "degree": [0]}',
+        ],
+        ids=["conflicting", "repeated"],
+    )
+    def test_duplicate_keys_rejected(self, text):
+        with pytest.raises(DocumentError, match="duplicate key"):
+            parse_input_document(text)
+
+    def test_duplicate_keys_rejected_in_nested_objects(self):
+        patch = subdivide_triangle(golden.SAMPLE_SURFACE, golden.UNIT_TRIANGLE)
+        text = dumps(triangle_patch_document(patch)).replace('"nu": 0,', '"nu": 0, "nu": 0,', 1)
+        with pytest.raises(DocumentError, match="duplicate key"):
+            parse_patch_document(text)
+
     def test_not_json_rejected(self):
         with pytest.raises(DocumentError):
             parse_input_document("not json {")
@@ -72,10 +90,10 @@ class TestPatchDocuments:
     def test_bezier_curve_round_trip(self):
         interval = ParamInterval("-1/2", "7/3")
         bez = subdivide_curve(golden.SAMPLE_CURVE, interval)
-        text = dumps(bezier_curve_document(bez, interval))
-        parsed, parsed_interval = parse_patch_document(text)
+        text = dumps(bezier_curve_document(bez))
+        parsed = parse_patch_document(text)
         assert parsed == bez
-        assert parsed_interval == interval
+        assert parsed.domain == interval
 
     def test_tensor_round_trip(self):
         patch = subdivide_tensor(golden.SAMPLE_SURFACE, golden.INNER_RECT)

@@ -9,6 +9,7 @@ from blossom_subdiv import (
     DomainTriangle,
     MonomialCurve,
     MonomialSurface,
+    ParamInterval,
     Point2,
     Point3,
     TrianglePatch,
@@ -25,6 +26,7 @@ import golden
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 points3 = st.builds(Point3, rationals, rationals, rationals)
+UNIT_INTERVAL = ParamInterval(0, 1)
 
 
 def power_sum_curve(curve, u):
@@ -84,18 +86,18 @@ class TestMonomialEvaluation:
 class TestDeCasteljau:
     @given(st.lists(points3, min_size=1, max_size=7))
     def test_endpoint_interpolation(self, pts):
-        bez = BezierCurve(tuple(pts))
+        bez = BezierCurve(tuple(pts), UNIT_INTERVAL)
         assert de_casteljau_curve(bez, 0) == pts[0]
         assert de_casteljau_curve(bez, 1) == pts[-1]
 
     def test_scalar_quadratic_midpoint(self):
         # w = (0, 1, 0): value at 1/2 is 2 * (1/2)^2 = 1/2
-        bez = BezierCurve((Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 0, 0)))
+        bez = BezierCurve((Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 0, 0)), UNIT_INTERVAL)
         assert de_casteljau_curve(bez, Fraction(1, 2)).x == Fraction(1, 2)
 
     @given(st.lists(points3, min_size=1, max_size=9), rationals)
     def test_matches_direct_bernstein_sum(self, pts, t):
-        bez = BezierCurve(tuple(pts))
+        bez = BezierCurve(tuple(pts), UNIT_INTERVAL)
         n = bez.degree
         direct = Point3(0, 0, 0)
         for k, p in enumerate(pts):

@@ -75,7 +75,11 @@ class TestParseFormat:
     def test_accepts(self, text, expected):
         assert parse_rational(text) == expected
 
-    @pytest.mark.parametrize("text", ["1/0", "0.5", "1e3", "1/-2", "", "a/b", "1//2", "--1"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1/0", "0.5", "1e3", "1/-2", "", "a/b", "1//2", "--1"]
+        + ["\u0661/\u0662", "1/\u0662", "\uff11"],  # non-ASCII digits
+    )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

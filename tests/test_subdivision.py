@@ -32,7 +32,6 @@ from blossom_subdiv import (
     subdivide_curve,
     subdivide_tensor,
     subdivide_triangle,
-    triangular_bounds,
 )
 from blossom_subdiv.sampling import (
     random_curve,
@@ -276,31 +275,12 @@ class TestSubdivideTensor:
 
 class TestTriangularBounds:
     def test_squeezed_to_single_value(self):
-        bounds = triangular_bounds(5, 5, 0, 3, 0)
-        assert (bounds.i_alpha_lo, bounds.i_alpha_hi) == (3, 3)
+        # All five slots belong to va, so the three u-indices must sit there.
+        assert list(iter_placements(5, 5, 0, 3, 0)) == [(3, 0, 0, 0, 0, 0)]
 
     def test_zero_nu_forces_zero(self):
-        bounds = triangular_bounds(5, 0, 0, 3, 0)
-        assert (bounds.i_alpha_lo, bounds.i_alpha_hi) == (0, 0)
-
-    def test_staged_refinement_matches_iterated_tuples(self):
-        n_total, nu, mu, i, j = 5, 2, 2, 2, 2
-        collected = set()
-        outer = triangular_bounds(n_total, nu, mu, i, j)
-        for i_a in range(outer.i_alpha_lo, outer.i_alpha_hi + 1):
-            level1 = triangular_bounds(n_total, nu, mu, i, j, i_alpha=i_a)
-            for i_b in range(level1.i_beta_lo, level1.i_beta_hi + 1):
-                level2 = triangular_bounds(n_total, nu, mu, i, j, i_alpha=i_a, i_beta=i_b)
-                assert level2.i_gamma == i - i_a - i_b
-                for j_a in range(level2.j_alpha_lo, level2.j_alpha_hi + 1):
-                    level3 = triangular_bounds(
-                        n_total, nu, mu, i, j, i_alpha=i_a, i_beta=i_b, j_alpha=j_a
-                    )
-                    for j_b in range(level3.j_beta_lo, level3.j_beta_hi + 1):
-                        collected.add(
-                            (i_a, i_b, i - i_a - i_b, j_a, j_b, j - j_a - j_b)
-                        )
-        assert collected == set(iter_placements(n_total, nu, mu, i, j))
+        # No va slots: every u-index falls to the vc zone.
+        assert list(iter_placements(5, 0, 0, 3, 0)) == [(0, 0, 3, 0, 0, 0)]
 
     def test_enumerated_tuples_match_brute_filter_small(self):
         for n_total in range(5):
@@ -311,16 +291,6 @@ class TestTriangularBounds:
                             assert set(iter_placements(n_total, nu, mu, i, j)) == (
                                 brute_placements(n_total, nu, mu, i, j)
                             )
-
-    def test_precondition_violations_rejected(self):
-        with pytest.raises(ValueError):
-            triangular_bounds(4, 3, 2, 0, 0)
-        with pytest.raises(ValueError):
-            triangular_bounds(4, 1, 1, -1, 0)
-        with pytest.raises(ValueError):
-            triangular_bounds(4, 1, 1, 1, 1, i_alpha=7)
-        with pytest.raises(ValueError):
-            triangular_bounds(4, 1, 1, 1, 1, i_beta=0)
 
 
 class TestPlacementCounts:
