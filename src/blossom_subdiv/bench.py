@@ -28,6 +28,11 @@ from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
 DEFAULT_ORACLE_DEGREE_CAP = 6
+# verify runs the oracle on every trial at random degrees up to its
+# --max-degree, and the oracle's cost is combinatorial in them: one
+# worst-case tb pass takes about 3 s at 4x4 and 40 s at 5x5 (Python 3.11
+# on one core of a shared 2-vCPU host), so larger bounds are refused.
+VERIFY_MAX_DEGREE_CAP = 5
 
 CSV_COLUMNS = (
     "shape",

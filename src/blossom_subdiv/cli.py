@@ -238,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed form vs. brute-force enumeration on random instances")
     p.add_argument("--trials", type=int, default=100, help="random instances per shape")
-    p.add_argument("--max-degree", type=int, default=3, help="degree bound for random instances")
+    p.add_argument(
+        "--max-degree", type=int, default=3,
+        help=f"degree bound for random instances (at most {bench_mod.VERIFY_MAX_DEGREE_CAP})",
+    )
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
     p.set_defaults(func=_cmd_verify)
 
@@ -263,10 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shield_negative_values(argv: list[str]) -> list[str]:
+    """argparse takes any argument that starts with "-" and is not a plain
+    number, such as the vertex -1/2,0, for an option. No option of this
+    program starts with "-" and a digit, so such an argument is a value; a
+    leading space keeps it one, and every value parser strips it."""
+    return [" " + arg if arg[:1] == "-" and arg[1:2].isdigit() else arg for arg in argv]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_shield_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

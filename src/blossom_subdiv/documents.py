@@ -136,7 +136,10 @@ def _point_grid(raw, degrees: list[int], what: str) -> tuple:
 
 def parse_input_document(text: str) -> InputObject:
     """Parse a monomial curve or surface document."""
-    obj = _loads(text)
+    return _input_from_obj(_loads(text))
+
+
+def _input_from_obj(obj: dict) -> InputObject:
     kind = obj.get("kind")
     if kind not in SURFACE_KINDS:
         raise DocumentError(f"expected kind 'curve' or 'surface', got {kind!r}")
@@ -207,7 +210,10 @@ def parse_patch_document(text: str) -> PatchObject:
     Returns a BezierCurve, TensorPatch or TrianglePatch, each with its
     domain attached.
     """
-    obj = _loads(text)
+    return _patch_from_obj(_loads(text))
+
+
+def _patch_from_obj(obj: dict) -> PatchObject:
     kind = obj.get("kind")
     if kind not in PATCH_KINDS:
         raise DocumentError(f"expected a patch kind {PATCH_KINDS}, got {kind!r}")
@@ -264,7 +270,7 @@ def parse_any_document(text: str) -> Union[InputObject, PatchObject]:
     obj = _loads(text)
     kind = obj.get("kind")
     if kind in SURFACE_KINDS:
-        return parse_input_document(text)
+        return _input_from_obj(obj)
     if kind in PATCH_KINDS:
-        return parse_patch_document(text)
+        return _patch_from_obj(obj)
     raise DocumentError(f"unknown document kind {kind!r}")

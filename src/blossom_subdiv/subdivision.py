@@ -9,6 +9,8 @@ module provides the independent cross-check.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 from .numerics import RATIONAL_ZERO, TermCounter, binomial, multinomial
@@ -19,6 +21,7 @@ from .geometry import (
     MonomialSurface,
     ParamInterval,
     ParamRect,
+    Point3,
     TensorPatch,
     TrianglePatch,
     ZERO3,
@@ -112,6 +115,12 @@ def iter_placements(
                     yield i_alpha, i_beta, i_gamma, j_alpha, j_beta, j - j_alpha - j_beta
 
 
+def _numerator(value: Fraction, q: int) -> int:
+    """Integer numerator of value over the denominator q, a multiple of
+    value's own denominator."""
+    return value.numerator * (q // value.denominator)
+
+
 def subdivide_triangle(
     surface: MonomialSurface, tri: DomainTriangle, counter: Optional[TermCounter] = None
 ) -> TrianglePatch:
@@ -121,40 +130,64 @@ def subdivide_triangle(
     nu copies of vertex va, mu of vb, and N - nu - mu of vc; each monomial
     coefficient contributes a four-fold sum over the per-zone index counts
     produced by iter_placements.
+
+    The sum runs in integers: the first vertex coordinates share the
+    denominator q1 and the second q2, so every summand of cell (i, j) lies
+    over q1**i * q2**j. Each cell's weight is put over the common
+    denominator L = lcm(multinomial(N, i, j) * q1**i * q2**j), each
+    coefficient axis over its own common denominator, and each output
+    coordinate is one Fraction(total, L * q_axis).
     """
     n, m = surface.degrees
     n_total = n + m
-    a1, a2 = tri.va.s, tri.va.t
-    b1, b2 = tri.vb.s, tri.vb.t
-    c1, c2 = tri.vc.s, tri.vc.t
+    vertices = (tri.va, tri.vb, tri.vc)
+    q1 = lcm(*(v.s.denominator for v in vertices))
+    q2 = lcm(*(v.t.denominator for v in vertices))
+    a1, b1, c1 = (_numerator(v.s, q1) for v in vertices)
+    a2, b2, c2 = (_numerator(v.t, q2) for v in vertices)
+    # Row r of a coordinate's table holds C(r, k) * x**k for k = 0..r.
+    ta1, tb1, tc1, ta2, tb2, tc2 = (
+        [[binomial(r, k) * x**k for k in range(r + 1)] for r in range(n_total + 1)]
+        for x in (a1, b1, c1, a2, b2, c2)
+    )
+    cell_den = [
+        [multinomial(n_total, i, j) * q1**i * q2**j for j in range(m + 1)] for i in range(n + 1)
+    ]
+    den = lcm(*(d for row in cell_den for d in row))
+    scale = [[den // d for d in row] for row in cell_den]
+    points = [c.as_tuple() for row in surface.coeffs for c in row]
+    axis_den = [lcm(*(v.denominator for v in axis)) for axis in zip(*points)]
+    coeffs = [
+        [tuple(map(_numerator, c.as_tuple(), axis_den)) for c in row] for row in surface.coeffs
+    ]
     rows = []
     for nu in range(n_total + 1):
         row = []
         for mu in range(n_total - nu + 1):
             lam = n_total - nu - mu
-            acc = ZERO3
-            for i, coeff_row in enumerate(surface.coeffs):
-                for j, coeff in enumerate(coeff_row):
-                    s = RATIONAL_ZERO
+            a1_nu, b1_mu, c1_lam = ta1[nu], tb1[mu], tc1[lam]
+            tx = ty = tz = 0
+            for i, coeff_row in enumerate(coeffs):
+                for j, (x, y, z) in enumerate(coeff_row):
+                    s = 0
                     for i_a, i_b, i_g, j_a, j_b, j_g in iter_placements(n_total, nu, mu, i, j):
                         s += (
-                            binomial(nu, i_a)
-                            * binomial(mu, i_b)
-                            * binomial(lam, i_g)
-                            * binomial(nu - i_a, j_a)
-                            * binomial(mu - i_b, j_b)
-                            * binomial(lam - i_g, j_g)
-                            * a1**i_a
-                            * b1**i_b
-                            * c1**i_g
-                            * a2**j_a
-                            * b2**j_b
-                            * c2**j_g
+                            a1_nu[i_a]
+                            * b1_mu[i_b]
+                            * c1_lam[i_g]
+                            * ta2[nu - i_a][j_a]
+                            * tb2[mu - i_b][j_b]
+                            * tc2[lam - i_g][j_g]
                         )
                         if counter is not None:
                             counter.add()
-                    acc = acc + (s / multinomial(n_total, i, j)) * coeff
-            row.append(acc)
+                    s *= scale[i][j]
+                    tx += s * x
+                    ty += s * y
+                    tz += s * z
+            row.append(
+                Point3(*(Fraction(t, den * q) for t, q in zip((tx, ty, tz), axis_den)))
+            )
         rows.append(tuple(row))
     return TrianglePatch(tuple(rows), tri)
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import documents
+from .bench import VERIFY_MAX_DEGREE_CAP
 from .geometry import BezierCurve, TensorPatch
 from .oracle import blossom_curve, blossom_tensor, blossom_triangle
 from .sampling import random_curve, random_interval, random_rect, random_surface, random_triangle
@@ -99,8 +100,10 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if max_degree < 0:
-        raise ValueError(f"max degree must be non-negative, got {max_degree}")
+    if not 0 <= max_degree <= VERIFY_MAX_DEGREE_CAP:
+        raise ValueError(
+            f"max degree must lie in 0..{VERIFY_MAX_DEGREE_CAP}, got {max_degree}"
+        )
     rng = random.Random(seed)
     report = VerifyReport(trials=trials, checked_points={"curve": 0, "tpb": 0, "tb": 0})
     for trial in range(trials):

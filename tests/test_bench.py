@@ -70,6 +70,12 @@ class TestRunBenchmark:
         ]
         assert strip(first) == strip(second)
 
+    def test_closed_form_tb_term_counts_pinned(self):
+        # One term per summand of the paper's triangular sum: the counts do
+        # not depend on how the summands are evaluated.
+        records, _ = run_benchmark(["tb"], [2, 3, 4, 5], oracle_degree_cap=-1)
+        assert [r.term_count for r in records] == [345, 2065, 8820, 29988]
+
     def test_oracle_cap_warns_and_skips(self):
         records, warnings = run_benchmark(["tb"], [3], oracle_degree_cap=2)
         assert warnings and "above cap" in warnings[0]

@@ -4,6 +4,7 @@ regeneration, and the stdin/stdout default plumbing."""
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,12 @@ class TestSubdivideTb:
         )
         assert code == 2
 
+    def test_negative_first_vertex_coordinate(self, capsys):
+        argv = ["subdivide-tb", "-i", str(DATA / "surface_3x2.json"), "--vertices"]
+        code, out, err = run(argv + ["-1/2,0", "1,0", "0,1"], capsys)
+        assert (code, err) == (0, "")
+        assert run(argv + [" -1/2,0", "1,0", "0,1"], capsys) == (0, out, "")
+
     def test_bad_vertex_format_exits_2(self, capsys):
         code, _, _ = run(
             [
@@ -225,6 +232,13 @@ class TestVerify:
         code, _, _ = run(["verify", "--trials", "0"], capsys)
         assert code == 2
 
+    def test_max_degree_above_cap_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(["verify", "--trials", "1", "--max-degree", "6", "--seed", "1"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_degree_zero_passes(self, capsys):
         code, _, _ = run(["verify", "--trials", "2", "--max-degree", "0"], capsys)
         assert code == 0
@@ -259,10 +273,8 @@ class TestVerify:
         elif shape == "tpb":
             argv = ["subdivide-tpb"] + [f"-{k}={domain[k]}" for k in "abcd"]
         else:
-            # A leading space keeps argparse from taking a negative vertex
-            # for an option; the rational parser strips it.
             argv = ["subdivide-tb", "--vertices"]
-            argv += [" {},{}".format(*domain[k]) for k in ("va", "vb", "vc")]
+            argv += ["{},{}".format(*domain[k]) for k in ("va", "vb", "vc")]
         code, out, _ = run(argv + ["-i", str(src)], capsys)
         assert code == 0
         assert json.loads(out)["domain"] == domain

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from blossom_subdiv import (
     subdivide_tensor,
     subdivide_triangle,
 )
+from blossom_subdiv import documents
 from blossom_subdiv.documents import (
     DocumentError,
     bezier_curve_document,
@@ -25,6 +27,8 @@ from blossom_subdiv.documents import (
 )
 
 import golden
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestInputDocuments:
@@ -150,3 +154,13 @@ class TestAnyDocument:
     def test_unknown_kind(self):
         with pytest.raises(DocumentError):
             parse_any_document('{"kind": "mystery"}')
+
+    @pytest.mark.parametrize("name", ["tb_unit_triangle.json", "surface_3x2.json"])
+    def test_decodes_json_once(self, name, monkeypatch):
+        decoded = []
+        real = documents._DECODER.decode
+        monkeypatch.setattr(
+            documents._DECODER, "decode", lambda text: decoded.append(text) or real(text)
+        )
+        parse_any_document((DATA / name).read_text(encoding="utf-8"))
+        assert len(decoded) == 1

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from blossom_subdiv import (
     DomainTriangle,
@@ -336,7 +338,46 @@ def _zone_count_grid(nu, mu, lam):
                             yield (i_a, i_b, i_g, j_a, j_b, j_g)
 
 
+# Vertex and coefficient coordinates: zero (so 0 ** 0 appears in the
+# sums), small rationals of either sign, and rationals over the coprime
+# primes 2**31 - 1 and 2**31 - 19, whose common denominators grow fast.
+coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.builds(Fraction, st.integers(-(2**32), 2**32), st.sampled_from([2**31 - 1, 2**31 - 19])),
+)
+points2 = st.builds(Point2, coordinates, coordinates)
+points3 = st.builds(Point3, coordinates, coordinates, coordinates)
+
+
+@st.composite
+def triangle_instances(draw):
+    """A surface of degree at most (2, 2), optionally with its x axis all
+    zero, and a triangle that may repeat a vertex or be collinear."""
+    n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    coeffs = [[draw(points3) for _ in range(m + 1)] for _ in range(n + 1)]
+    if draw(st.booleans()):
+        coeffs = [[Point3(0, c.y, c.z) for c in row] for row in coeffs]
+    va, vb, vc = draw(points2), draw(points2), draw(points2)
+    layout = draw(st.sampled_from(["general", "repeated", "collinear"]))
+    if layout == "repeated":
+        vb = va
+    elif layout == "collinear":
+        vc = va + 2 * (vb - va)
+    return MonomialSurface(tuple(map(tuple, coeffs))), DomainTriangle(va, vb, vc)
+
+
 class TestSubdivideTriangle:
+    @given(triangle_instances())
+    @example((MonomialSurface(((Point3(3, -1, 0),),)), golden.UNIT_TRIANGLE))
+    @example((golden.SAMPLE_SURFACE, DomainTriangle(Point2(0, 0), Point2(0, 0), Point2(0, 0))))
+    def test_matches_oracle_property(self, instance):
+        surface, tri = instance
+        patch = subdivide_triangle(surface, tri)
+        for nu, mu, got in patch.labelled_points():
+            args = [tri.va] * nu + [tri.vb] * mu + [tri.vc] * (patch.degree - nu - mu)
+            assert got == blossom_triangle(surface, args)
+
     def test_unit_triangle_corners(self):
         patch = subdivide_triangle(golden.SAMPLE_SURFACE, golden.UNIT_TRIANGLE)
         n_total = patch.degree
