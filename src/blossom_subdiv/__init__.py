@@ -20,22 +20,39 @@ from .geometry import (
     eval_monomial_curve,
     eval_monomial_surface,
 )
-from .oracle import (
-    blossom_curve,
-    blossom_tensor,
-    blossom_triangle,
-    monomial_blossom_curve,
-    monomial_blossom_tensor,
-    monomial_blossom_triangle,
+# The oracle and the subdivision kernels load on first use (PEP 562), so
+# a CLI process that only parses, evaluates or meshes never compiles them.
+_ORACLE_NAMES = (
+    "blossom_curve",
+    "blossom_tensor",
+    "blossom_triangle",
+    "monomial_blossom_curve",
+    "monomial_blossom_tensor",
+    "monomial_blossom_triangle",
 )
-from .subdivision import (
-    iter_placements,
-    placement_count_u_first,
-    placement_count_v_first,
-    subdivide_curve,
-    subdivide_tensor,
-    subdivide_triangle,
+_SUBDIVISION_NAMES = (
+    "iter_placements",
+    "placement_count_u_first",
+    "placement_count_v_first",
+    "subdivide_curve",
+    "subdivide_tensor",
+    "subdivide_triangle",
 )
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle as module
+    elif name in _SUBDIVISION_NAMES:
+        from . import subdivision as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES, *_SUBDIVISION_NAMES})
+
 
 __version__ = "0.1.0"
 

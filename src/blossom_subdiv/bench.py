@@ -19,7 +19,13 @@ from itertools import combinations
 from math import prod
 from typing import Optional, Sequence, TextIO
 
-from .numerics import RATIONAL_ONE, RATIONAL_ZERO, TermCounter, binomial
+from .numerics import (
+    DEFAULT_ORACLE_DEGREE_CAP,
+    RATIONAL_ONE,
+    RATIONAL_ZERO,
+    TermCounter,
+    binomial,
+)
 from .geometry import MonomialCurve, MonomialSurface, Point3, ZERO3
 from .oracle import blossom_curve, blossom_triangle
 from .sampling import random_interval, random_point3, random_rect, random_triangle
@@ -27,12 +33,6 @@ from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
 
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
-DEFAULT_ORACLE_DEGREE_CAP = 6
-# verify runs the oracle on every trial at random degrees up to its
-# --max-degree, and the oracle's cost is combinatorial in them: one
-# worst-case tb pass takes about 3 s at 4x4 and 40 s at 5x5 (Python 3.11
-# on one core of a shared 2-vCPU host), so larger bounds are refused.
-VERIFY_MAX_DEGREE_CAP = 5
 
 CSV_COLUMNS = (
     "shape",

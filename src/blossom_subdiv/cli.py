@@ -8,12 +8,12 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from typing import Optional
 
-from . import bench as bench_mod
 from . import documents
 from .geometry import (
     BezierCurve,
@@ -30,10 +30,17 @@ from .geometry import (
     eval_monomial_curve,
     eval_monomial_surface,
 )
-from .numerics import format_rational, parse_rational
-from .objmesh import mesh_document
-from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
-from .verify import run_verification
+from .numerics import (
+    DEFAULT_ORACLE_DEGREE_CAP,
+    MESH_VERTEX_BUDGET,
+    VERIFY_MAX_DEGREE_CAP,
+    format_rational,
+    parse_rational,
+)
+
+# A process runs one subcommand, so each command imports the modules only
+# it needs (subdivision, objmesh, verify, bench) when it runs: subdivide,
+# eval and mesh never load the oracle, verify or bench code.
 
 PROG = "blossom-subdiv"
 
@@ -80,6 +87,8 @@ def _parse_vertex(raw: str) -> Point2:
 
 
 def _cmd_subdivide_curve(args) -> int:
+    from .subdivision import subdivide_curve
+
     obj = documents.parse_input_document(_read_input(args.input))
     if not isinstance(obj, MonomialCurve):
         raise documents.DocumentError("subdivide-curve needs a 'curve' document")
@@ -90,6 +99,8 @@ def _cmd_subdivide_curve(args) -> int:
 
 
 def _cmd_subdivide_tpb(args) -> int:
+    from .subdivision import subdivide_tensor
+
     obj = documents.parse_input_document(_read_input(args.input))
     if not isinstance(obj, MonomialSurface):
         raise documents.DocumentError("subdivide-tpb needs a 'surface' document")
@@ -103,6 +114,8 @@ def _cmd_subdivide_tpb(args) -> int:
 
 
 def _cmd_subdivide_tb(args) -> int:
+    from .subdivision import subdivide_triangle
+
     obj = documents.parse_input_document(_read_input(args.input))
     if not isinstance(obj, MonomialSurface):
         raise documents.DocumentError("subdivide-tb needs a 'surface' document")
@@ -144,6 +157,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(args.trials, args.max_degree, args.seed)
     for shape in ("curve", "tpb", "tb"):
         sys.stderr.write(
@@ -162,6 +177,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    from .objmesh import mesh_document
+
     if args.format != "obj":
         raise documents.DocumentError(f"unsupported mesh format {args.format!r}")
     if args.samples < 2:
@@ -174,6 +191,8 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     shapes = [s for s in args.shapes.split(",") if s]
     degrees = []
     for chunk in args.degrees.split(","):
@@ -196,7 +215,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state in it, so
+    repeated main() calls share it."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact subdivision of polynomial curves and surfaces into Bernstein form.",
@@ -240,14 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="random instances per shape")
     p.add_argument(
         "--max-degree", type=int, default=3,
-        help=f"degree bound for random instances (at most {bench_mod.VERIFY_MAX_DEGREE_CAP})",
+        help=f"degree bound for random instances (at most {VERIFY_MAX_DEGREE_CAP})",
     )
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mesh", help="tessellate a document to a Wavefront OBJ")
     add_io(p)
-    p.add_argument("--samples", "-g", type=int, default=17, help="vertices per edge (>= 2)")
+    p.add_argument(
+        "--samples", "-g", type=int, default=17,
+        help=f"vertices per edge (>= 2); a mesh of more than {MESH_VERTEX_BUDGET} "
+        "sampled vertices (2^20) is refused",
+    )
     p.add_argument("--format", default="obj", help="mesh format (only obj)")
     p.add_argument("--with-net", action="store_true", help="emit the control net as line elements")
     p.set_defaults(func=_cmd_mesh)
@@ -258,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1, help="repetitions per cell")
     p.add_argument("--seed", type=int, default=0, help="instance RNG seed")
     p.add_argument(
-        "--max-oracle-degree", type=int, default=bench_mod.DEFAULT_ORACLE_DEGREE_CAP,
+        "--max-oracle-degree", type=int, default=DEFAULT_ORACLE_DEGREE_CAP,
         help="skip enumeration rows above this degree",
     )
     p.add_argument("--output", "-o", default="-", help="CSV output path (default stdout)")

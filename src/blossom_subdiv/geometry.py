@@ -7,7 +7,6 @@ paths that must agree bit-for-bit on exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .numerics import (
@@ -19,19 +18,62 @@ from .numerics import (
     multinomial,
 )
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Point3:
+
+class _Value:
+    """Base of the immutable value types. A subclass names its fields in
+    __slots__ and sets each once in __init__ with object.__setattr__.
+    Values are equal only to values of the same class with equal fields,
+    hash as their field tuple, and pickle and copy through their
+    constructor."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._astuple())
+
+
+class Point3(_Value):
     """Point or coefficient in R^3. Scalar-valued data uses y = z = 0."""
 
-    x: Rational
-    y: Rational
-    z: Rational
+    __slots__ = __match_args__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
-        object.__setattr__(self, "z", as_rational(self.z))
+    def __init__(self, x: Rational, y: Rational, z: Rational):
+        _set(self, "x", as_rational(x))
+        _set(self, "y", as_rational(y))
+        _set(self, "z", as_rational(z))
+
+    # Spelled out rather than inherited: verify compares control points
+    # in its inner loop.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
 
     def __add__(self, other: "Point3") -> "Point3":
         return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -52,16 +94,14 @@ class Point3:
 ZERO3 = Point3(RATIONAL_ZERO, RATIONAL_ZERO, RATIONAL_ZERO)
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(_Value):
     """Parameter-plane point, e.g. a domain-triangle vertex."""
 
-    s: Rational
-    t: Rational
+    __slots__ = __match_args__ = ("s", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_rational(self.s))
-        object.__setattr__(self, "t", as_rational(self.t))
+    def __init__(self, s: Rational, t: Rational):
+        _set(self, "s", as_rational(s))
+        _set(self, "t", as_rational(t))
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.s + other.s, self.t + other.t)
@@ -76,34 +116,36 @@ class Point2:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class ParamInterval:
+class ParamInterval(_Value):
     """Subdivision interval [a, b]. a == b (degenerate) and a > b
     (reversed orientation) are both allowed; the formulas stay valid."""
 
-    a: Rational
-    b: Rational
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-
-
-@dataclass(frozen=True)
-class ParamRect:
-    u_range: ParamInterval
-    v_range: ParamInterval
+    def __init__(self, a: Rational, b: Rational):
+        _set(self, "a", as_rational(a))
+        _set(self, "b", as_rational(b))
 
 
-@dataclass(frozen=True)
-class DomainTriangle:
+class ParamRect(_Value):
+    __slots__ = __match_args__ = ("u_range", "v_range")
+
+    def __init__(self, u_range: ParamInterval, v_range: ParamInterval):
+        _set(self, "u_range", u_range)
+        _set(self, "v_range", v_range)
+
+
+class DomainTriangle(_Value):
     """Parameter-plane triangle. Collinear vertices are representable
     (the formulas remain well-defined); policy about warning on them
     lives at the CLI boundary, not here."""
 
-    va: Point2
-    vb: Point2
-    vc: Point2
+    __slots__ = __match_args__ = ("va", "vb", "vc")
+
+    def __init__(self, va: Point2, vb: Point2, vc: Point2):
+        _set(self, "va", va)
+        _set(self, "vb", vb)
+        _set(self, "vc", vc)
 
     def is_degenerate(self) -> bool:
         """True when the three vertices are collinear."""
@@ -112,14 +154,13 @@ class DomainTriangle:
         return d1.s * d2.t - d1.t * d2.s == 0
 
 
-@dataclass(frozen=True)
-class MonomialCurve:
+class MonomialCurve(_Value):
     """Polynomial curve sum(coeffs[i] * u**i), degree = len(coeffs) - 1."""
 
-    coeffs: tuple[Point3, ...]
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs: tuple[Point3, ...]):
+        _set(self, "coeffs", tuple(coeffs))
         if not self.coeffs:
             raise ValueError("curve needs at least the constant coefficient")
 
@@ -128,15 +169,14 @@ class MonomialCurve:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class MonomialSurface:
+class MonomialSurface(_Value):
     """Polynomial surface sum(coeffs[i][j] * u**i * v**j), i-major grid."""
 
-    coeffs: tuple[tuple[Point3, ...], ...]
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.coeffs)
-        object.__setattr__(self, "coeffs", rows)
+    def __init__(self, coeffs: tuple[tuple[Point3, ...], ...]):
+        rows = tuple(tuple(row) for row in coeffs)
+        _set(self, "coeffs", rows)
         if not rows or not rows[0]:
             raise ValueError("surface needs a non-empty coefficient grid")
         width = len(rows[0])
@@ -148,16 +188,15 @@ class MonomialSurface:
         return (len(self.coeffs) - 1, len(self.coeffs[0]) - 1)
 
 
-@dataclass(frozen=True)
-class BezierCurve:
+class BezierCurve(_Value):
     """Bernstein-form curve; the subdivision interval is kept as its
     domain, like the surface patches keep theirs."""
 
-    control_points: tuple[Point3, ...]
-    domain: ParamInterval
+    __slots__ = __match_args__ = ("control_points", "domain")
 
-    def __post_init__(self):
-        object.__setattr__(self, "control_points", tuple(self.control_points))
+    def __init__(self, control_points: tuple[Point3, ...], domain: ParamInterval):
+        _set(self, "control_points", tuple(control_points))
+        _set(self, "domain", domain)
         if not self.control_points:
             raise ValueError("Bezier curve needs at least one control point")
 
@@ -166,16 +205,15 @@ class BezierCurve:
         return len(self.control_points) - 1
 
 
-@dataclass(frozen=True)
-class TensorPatch:
+class TensorPatch(_Value):
     """Tensor-product Bernstein patch; domain kept as provenance."""
 
-    control_points: tuple[tuple[Point3, ...], ...]
-    domain: ParamRect
+    __slots__ = __match_args__ = ("control_points", "domain")
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.control_points)
-        object.__setattr__(self, "control_points", rows)
+    def __init__(self, control_points: tuple[tuple[Point3, ...], ...], domain: ParamRect):
+        rows = tuple(tuple(row) for row in control_points)
+        _set(self, "control_points", rows)
+        _set(self, "domain", domain)
         if not rows or not rows[0]:
             raise ValueError("tensor patch needs a non-empty control grid")
         width = len(rows[0])
@@ -187,8 +225,7 @@ class TensorPatch:
         return (len(self.control_points) - 1, len(self.control_points[0]) - 1)
 
 
-@dataclass(frozen=True)
-class TrianglePatch:
+class TrianglePatch(_Value):
     """Triangular Bernstein patch of total degree N.
 
     rows[nu][mu] holds the control point whose defining arguments take nu
@@ -196,12 +233,12 @@ class TrianglePatch:
     has N-nu+1 entries, (N+1)(N+2)/2 points in total.
     """
 
-    rows: tuple[tuple[Point3, ...], ...]
-    domain: DomainTriangle
+    __slots__ = __match_args__ = ("rows", "domain")
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[Point3, ...], ...], domain: DomainTriangle):
+        rows = tuple(tuple(row) for row in rows)
+        _set(self, "rows", rows)
+        _set(self, "domain", domain)
         if not rows:
             raise ValueError("triangle patch needs at least one control point")
         n_total = len(rows) - 1

@@ -25,6 +25,21 @@ RATIONAL_ONE = Fraction(1)
 # construction.
 _RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+# Work caps, refused up front instead of hanging. They live here, in a
+# module every command loads anyway, so the CLI can name them in its help
+# without importing the code they guard.
+#
+# bench skips the brute-force oracle above this degree.
+DEFAULT_ORACLE_DEGREE_CAP = 6
+# verify runs the oracle on every trial at random degrees up to its
+# --max-degree, and the oracle's cost is combinatorial in them: one
+# worst-case tb pass takes about 3 s at 4x4 and 40 s at 5x5 (Python 3.11
+# on one core of a shared 2-vCPU host), so larger bounds are refused.
+VERIFY_MAX_DEGREE_CAP = 5
+# mesh evaluates and holds every sampled vertex, so a mesh of more sampled
+# vertices than this (a 1024 x 1024 grid) is refused before any evaluation.
+MESH_VERTEX_BUDGET = 2**20
+
 
 def parse_rational(text: str) -> Rational:
     """Parse "p/q" or "p" into a canonical Rational.

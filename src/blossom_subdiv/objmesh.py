@@ -25,6 +25,7 @@ from .geometry import (
     eval_monomial_curve,
     eval_monomial_surface,
 )
+from .numerics import MESH_VERTEX_BUDGET
 
 Meshable = Union[MonomialCurve, MonomialSurface, BezierCurve, TensorPatch, TrianglePatch]
 
@@ -42,6 +43,14 @@ def _vertex(p: Point3) -> str:
 
 def _params(samples: int) -> list[Fraction]:
     return [Fraction(k, samples - 1) for k in range(samples)]
+
+
+def _sampled_vertices(obj: Meshable, samples: int) -> int:
+    if isinstance(obj, (MonomialCurve, BezierCurve)):
+        return samples
+    if isinstance(obj, TrianglePatch):
+        return samples * (samples + 1) // 2
+    return samples * samples
 
 
 def _polyline(points: list[Point3], net: list[Point3] | None) -> list[str]:
@@ -117,10 +126,18 @@ def mesh_document(obj: Meshable, samples: int, with_net: bool = False) -> str:
 
     Monomial inputs are sampled over the unit domain; Bernstein patches
     over their own parameter domain. samples is the per-edge vertex count
-    and must be at least 2 (2 reproduces just the corners).
+    and must be at least 2 (2 reproduces just the corners); a mesh of more
+    than MESH_VERTEX_BUDGET sampled vertices is refused before any
+    evaluation.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples per edge, got {samples}")
+    vertices = _sampled_vertices(obj, samples)
+    if vertices > MESH_VERTEX_BUDGET:
+        raise ValueError(
+            f"{samples} samples per edge give {vertices} mesh vertices, "
+            f"over the budget of {MESH_VERTEX_BUDGET}"
+        )
     ts = _params(samples)
     if isinstance(obj, MonomialCurve):
         lines = _polyline([eval_monomial_curve(obj, t) for t in ts], None)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import documents
-from .bench import VERIFY_MAX_DEGREE_CAP
 from .geometry import BezierCurve, TensorPatch
+from .numerics import VERIFY_MAX_DEGREE_CAP
 from .oracle import blossom_curve, blossom_tensor, blossom_triangle
 from .sampling import random_curve, random_interval, random_rect, random_surface, random_triangle
 from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle

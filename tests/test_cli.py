@@ -2,6 +2,7 @@
 regeneration, and the stdin/stdout default plumbing."""
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -327,6 +328,45 @@ class TestMesh:
         assert dest.read_text().startswith("g patch\n")
 
 
+# sha256 of the OBJ bytes of `mesh --samples 9` (and with --with-net) for
+# every document in tests/data, recorded before the value types lost their
+# dataclass implementation; bezier_cubic.json is `subdivide-curve -a=-1/2
+# -b 3/2` of curve_cubic.json.
+MESH_9_SHA256 = {
+    "bezier_cubic.json": "4d770eda1857384eed39939e7926b0d9dff977eb06ec11c81eb60bf0097f87ef",
+    "curve_cubic.json": "3ae6c92fb3ca7e4e4075f1c3df55f416055b8c8533eb3404ab762cab64edbfde",
+    "surface_3x2.json": "b965030814e447bcf8d51b0793b50e8fba92f54c44323647bd7e20832abf0ebc",
+    "tb_offset_triangle.json": "0d29f7d273059df75ce73aa7cf6ce7e8315ccd815e0c888f5b23c42eaa83da1b",
+    "tb_unit_triangle.json": "ce6aede289b55a986dfc28566cb195ae340ebd4781b77ffef9fe1aca731fd1e8",
+    "tpb_inner_rect.json": "6e178bc2e686af7d6c952748df296cecefbb1cddc0ac1ed64c0e892e6819d3cd",
+    "tpb_unit_square.json": "b965030814e447bcf8d51b0793b50e8fba92f54c44323647bd7e20832abf0ebc",
+}
+MESH_9_NET_SHA256 = {
+    "bezier_cubic.json": "65787ccf9e2f1961a3cbe0d5d2cd95b8c609ba2f39c30696eee1dc20f60c8956",
+    "tb_offset_triangle.json": "4886103c06e65255c549a42a388f7c9aba93c82a3c1da68150748cb907676c52",
+    "tb_unit_triangle.json": "29c20d1cb0590322f8609cbe16e777ee2f3ed86b285c639b4f5e6050d1e7c51f",
+    "tpb_inner_rect.json": "28377e8be4fc968803cbb7b682f404433ac868db167e8963f2ede5d35a80f753",
+    "tpb_unit_square.json": "044a4b1a89622a2b19d420d0c4ad1278bbb9de1c19a1394e078d29364549ec6e",
+}
+
+
+class TestMeshGolden:
+    """Exact OBJ bytes for every fixture document."""
+
+    def test_every_document_is_pinned(self):
+        assert sorted(p.name for p in DATA.glob("*.json")) == sorted(MESH_9_SHA256)
+
+    @pytest.mark.parametrize(
+        "name,flags,digest",
+        [(n, [], d) for n, d in MESH_9_SHA256.items()]
+        + [(n, ["--with-net"], d) for n, d in MESH_9_NET_SHA256.items()],
+    )
+    def test_obj_bytes(self, name, flags, digest, capsys):
+        code, out, err = run(["mesh", "-i", str(DATA / name), "--samples", "9", *flags], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBench:
     def test_csv_round_trips(self, capsys, tmp_path):
         dest = tmp_path / "bench.csv"
@@ -416,6 +456,32 @@ class TestBoundary:
 
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
         self._run_document(["mesh"], "[" * 200_000, capsys, tmp_path)
+
+    @pytest.mark.parametrize(
+        "name,samples,allowed",
+        [
+            ("curve_cubic.json", 2**20, True),
+            ("bezier_cubic.json", 2**20 + 1, False),
+            ("tpb_unit_square.json", 1024, True),
+            ("tpb_unit_square.json", 1025, False),
+            ("surface_3x2.json", 10**12, False),
+            ("tb_unit_triangle.json", 1447, True),
+            ("tb_unit_triangle.json", 1448, False),
+        ],
+    )
+    def test_mesh_vertex_budget(self, name, samples, allowed, capsys, monkeypatch):
+        """Over 2^20 sampled vertices is refused before the sample
+        parameters are even built; at the budget, meshing starts."""
+
+        def started(samples):
+            raise ValueError("meshing started")
+
+        monkeypatch.setattr("blossom_subdiv.objmesh._params", started)
+        code, out, err = run(["mesh", "-i", str(DATA / name), "-g", str(samples)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("meshing started" in err) == allowed
+        assert ("over the budget of 1048576" in err) != allowed
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,10 @@ from blossom_subdiv import (
     MonomialCurve,
     MonomialSurface,
     ParamInterval,
+    ParamRect,
     Point2,
     Point3,
+    TensorPatch,
     TrianglePatch,
     barycentric_to_cartesian,
     de_casteljau_curve,
@@ -187,3 +191,121 @@ class TestTypeInvariants:
     def test_point_refuses_floats(self):
         with pytest.raises(TypeError):
             Point3(0.5, 0, 0)
+
+
+P = Point3(1, 0, -1)
+P_REPR = "Point3(x=Fraction(1, 1), y=Fraction(0, 1), z=Fraction(-1, 1))"
+UNIT_REPR = "ParamInterval(a=Fraction(0, 1), b=Fraction(1, 1))"
+RECT = ParamRect(UNIT_INTERVAL, ParamInterval(1, 2))
+RECT_REPR = (
+    f"ParamRect(u_range={UNIT_REPR}, v_range=ParamInterval(a=Fraction(1, 1), b=Fraction(2, 1)))"
+)
+TRI = DomainTriangle(Point2(0, 0), Point2(1, 0), Point2(0, 1))
+TRI_REPR = (
+    "DomainTriangle(va=Point2(s=Fraction(0, 1), t=Fraction(0, 1)), "
+    "vb=Point2(s=Fraction(1, 1), t=Fraction(0, 1)), vc=Point2(s=Fraction(0, 1), t=Fraction(1, 1)))"
+)
+
+# One instance of each value type: a builder (called twice to get equal,
+# distinct objects), its field names in order, and its repr. Point2(1, 2)
+# and ParamInterval(1, 2) hold equal fields, so only the class tells them
+# apart.
+VALUES = {
+    "Point3": (
+        lambda: Point3(1, "2/3", -1), ("x", "y", "z"),
+        "Point3(x=Fraction(1, 1), y=Fraction(2, 3), z=Fraction(-1, 1))",
+    ),
+    "Point2": (lambda: Point2(1, 2), ("s", "t"), "Point2(s=Fraction(1, 1), t=Fraction(2, 1))"),
+    "ParamInterval": (
+        lambda: ParamInterval(1, 2), ("a", "b"),
+        "ParamInterval(a=Fraction(1, 1), b=Fraction(2, 1))",
+    ),
+    "ParamRect": (
+        lambda: ParamRect(UNIT_INTERVAL, ParamInterval(1, 2)), ("u_range", "v_range"), RECT_REPR,
+    ),
+    "DomainTriangle": (
+        lambda: DomainTriangle(Point2(0, 0), Point2(1, 0), Point2(0, 1)),
+        ("va", "vb", "vc"),
+        TRI_REPR,
+    ),
+    "MonomialCurve": (
+        lambda: MonomialCurve([P]), ("coeffs",), f"MonomialCurve(coeffs=({P_REPR},))",
+    ),
+    "MonomialSurface": (
+        lambda: MonomialSurface([[P]]), ("coeffs",), f"MonomialSurface(coeffs=(({P_REPR},),))",
+    ),
+    "BezierCurve": (
+        lambda: BezierCurve([P], UNIT_INTERVAL), ("control_points", "domain"),
+        f"BezierCurve(control_points=({P_REPR},), domain={UNIT_REPR})",
+    ),
+    "TensorPatch": (
+        lambda: TensorPatch([[P]], RECT), ("control_points", "domain"),
+        f"TensorPatch(control_points=(({P_REPR},),), domain={RECT_REPR})",
+    ),
+    "TrianglePatch": (
+        lambda: TrianglePatch([[P]], TRI), ("rows", "domain"),
+        f"TrianglePatch(rows=(({P_REPR},),), domain={TRI_REPR})",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueSemantics:
+    """What callers may rely on for every value type: equality by class
+    and fields, a hash that agrees with it, immutability, a stable repr,
+    and pickle/deepcopy round trips."""
+
+    def test_equal_values_hash_alike(self, name):
+        build, fields, _ = VALUES[name]
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
+        assert len({a, b}) == 1
+
+    def test_unequal_to_other_types(self, name):
+        a = VALUES[name][0]()
+        for other, (build, _, _) in VALUES.items():
+            if other != name:
+                assert a != build() and not a == build()
+        assert a != tuple(getattr(a, f) for f in VALUES[name][1])
+        assert a != None  # noqa: E711
+
+    def test_fields_are_read_only(self, name):
+        build, fields, _ = VALUES[name]
+        a = build()
+        for f in fields:
+            before = getattr(a, f)
+            with pytest.raises(AttributeError):
+                setattr(a, f, before)
+            with pytest.raises(AttributeError):
+                delattr(a, f)
+            assert getattr(a, f) is before
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_repr(self, name):
+        build, _, text = VALUES[name]
+        assert repr(build()) == text
+
+    def test_keyword_construction(self, name):
+        build, fields, _ = VALUES[name]
+        a = build()
+        assert type(a)(**{f: getattr(a, f) for f in fields}) == a
+
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        a = VALUES[name][0]()
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert type(b) is type(a) and b == a and hash(b) == hash(a)
+            with pytest.raises(AttributeError):
+                setattr(b, VALUES[name][1][0], None)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+@pytest.mark.parametrize("make", [
+    lambda v: Point3(v, 0, 0), lambda v: Point3(0, 0, v), lambda v: Point2(0, v),
+    lambda v: ParamInterval(v, 1), lambda v: ParamInterval(0, v),
+])
+def test_exact_types_refuse_floats_and_bools(make, bad):
+    with pytest.raises(TypeError):
+        make(bad)
