@@ -20,8 +20,17 @@ from .geometry import (
     eval_monomial_curve,
     eval_monomial_surface,
 )
-# The oracle and the subdivision kernels load on first use (PEP 562), so
-# a CLI process that only parses, evaluates or meshes never compiles them.
+from .subdivision import (
+    iter_placements,
+    placement_count_u_first,
+    placement_count_v_first,
+    subdivide_curve,
+    subdivide_tensor,
+    subdivide_triangle,
+)
+
+# The brute-force oracle loads on first use (PEP 562), so a CLI process
+# that subdivides, evaluates or meshes never compiles it.
 _ORACLE_NAMES = (
     "blossom_curve",
     "blossom_tensor",
@@ -30,28 +39,18 @@ _ORACLE_NAMES = (
     "monomial_blossom_tensor",
     "monomial_blossom_triangle",
 )
-_SUBDIVISION_NAMES = (
-    "iter_placements",
-    "placement_count_u_first",
-    "placement_count_v_first",
-    "subdivide_curve",
-    "subdivide_tensor",
-    "subdivide_triangle",
-)
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle as module
-    elif name in _SUBDIVISION_NAMES:
-        from . import subdivision as module
-    else:
+    if name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+    from . import oracle
+
+    return getattr(oracle, name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_ORACLE_NAMES, *_SUBDIVISION_NAMES})
+    return sorted({*globals(), *_ORACLE_NAMES})
 
 
 __version__ = "0.1.0"

@@ -37,10 +37,11 @@ from .numerics import (
     format_rational,
     parse_rational,
 )
+from .objmesh import mesh_document
+from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
 
-# A process runs one subcommand, so each command imports the modules only
-# it needs (subdivision, objmesh, verify, bench) when it runs: subdivide,
-# eval and mesh never load the oracle, verify or bench code.
+# verify and bench are imported by their own commands when they run, so
+# subdivide, eval and mesh never load the oracle, verify or bench code.
 
 PROG = "blossom-subdiv"
 
@@ -87,8 +88,6 @@ def _parse_vertex(raw: str) -> Point2:
 
 
 def _cmd_subdivide_curve(args) -> int:
-    from .subdivision import subdivide_curve
-
     obj = documents.parse_input_document(_read_input(args.input))
     if not isinstance(obj, MonomialCurve):
         raise documents.DocumentError("subdivide-curve needs a 'curve' document")
@@ -99,8 +98,6 @@ def _cmd_subdivide_curve(args) -> int:
 
 
 def _cmd_subdivide_tpb(args) -> int:
-    from .subdivision import subdivide_tensor
-
     obj = documents.parse_input_document(_read_input(args.input))
     if not isinstance(obj, MonomialSurface):
         raise documents.DocumentError("subdivide-tpb needs a 'surface' document")
@@ -114,8 +111,6 @@ def _cmd_subdivide_tpb(args) -> int:
 
 
 def _cmd_subdivide_tb(args) -> int:
-    from .subdivision import subdivide_triangle
-
     obj = documents.parse_input_document(_read_input(args.input))
     if not isinstance(obj, MonomialSurface):
         raise documents.DocumentError("subdivide-tb needs a 'surface' document")
@@ -177,8 +172,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .objmesh import mesh_document
-
     if args.format != "obj":
         raise documents.DocumentError(f"unsupported mesh format {args.format!r}")
     if args.samples < 2:
@@ -272,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", "-g", type=int, default=17,
         help=f"vertices per edge (>= 2); a mesh of more than {MESH_VERTEX_BUDGET} "
-        "sampled vertices (2^20) is refused",
+        "sampled vertices is refused",
     )
     p.add_argument("--format", default="obj", help="mesh format (only obj)")
     p.add_argument("--with-net", action="store_true", help="emit the control net as line elements")

@@ -36,9 +36,13 @@ DEFAULT_ORACLE_DEGREE_CAP = 6
 # worst-case tb pass takes about 3 s at 4x4 and 40 s at 5x5 (Python 3.11
 # on one core of a shared 2-vCPU host), so larger bounds are refused.
 VERIFY_MAX_DEGREE_CAP = 5
-# mesh evaluates and holds every sampled vertex, so a mesh of more sampled
-# vertices than this (a 1024 x 1024 grid) is refused before any evaluation.
-MESH_VERTEX_BUDGET = 2**20
+# mesh evaluates every sampled vertex exactly and holds them all, at about
+# 0.5 ms and 0.8 KB each on a degree-(3, 2) tensor patch and 1.6 ms on a
+# degree-5 triangle patch (Python 3.11 on one core of a shared 2-vCPU
+# host). So a mesh of more sampled vertices than this (a 128 x 128 grid:
+# about 8 s and 30 MB on that tensor patch, 28 s on that triangle patch)
+# is refused before any evaluation.
+MESH_VERTEX_BUDGET = 2**14
 
 
 def parse_rational(text: str) -> Rational:

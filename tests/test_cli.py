@@ -18,6 +18,7 @@ from blossom_subdiv.documents import (
     parse_patch_document,
 )
 from blossom_subdiv import MonomialCurve, Point3
+from blossom_subdiv.numerics import MESH_VERTEX_BUDGET
 
 import golden
 
@@ -460,18 +461,18 @@ class TestBoundary:
     @pytest.mark.parametrize(
         "name,samples,allowed",
         [
-            ("curve_cubic.json", 2**20, True),
-            ("bezier_cubic.json", 2**20 + 1, False),
-            ("tpb_unit_square.json", 1024, True),
-            ("tpb_unit_square.json", 1025, False),
+            ("curve_cubic.json", MESH_VERTEX_BUDGET, True),
+            ("bezier_cubic.json", MESH_VERTEX_BUDGET + 1, False),
+            ("tpb_unit_square.json", 128, True),
+            ("tpb_unit_square.json", 129, False),
             ("surface_3x2.json", 10**12, False),
-            ("tb_unit_triangle.json", 1447, True),
-            ("tb_unit_triangle.json", 1448, False),
+            ("tb_unit_triangle.json", 180, True),
+            ("tb_unit_triangle.json", 181, False),
         ],
     )
     def test_mesh_vertex_budget(self, name, samples, allowed, capsys, monkeypatch):
-        """Over 2^20 sampled vertices is refused before the sample
-        parameters are even built; at the budget, meshing starts."""
+        """Over MESH_VERTEX_BUDGET sampled vertices is refused before the
+        sample parameters are even built; at the budget, meshing starts."""
 
         def started(samples):
             raise ValueError("meshing started")
@@ -481,7 +482,7 @@ class TestBoundary:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert ("meshing started" in err) == allowed
-        assert ("over the budget of 1048576" in err) != allowed
+        assert (f"over the budget of {MESH_VERTEX_BUDGET}" in err) != allowed
 
 
 class TestUsage:

@@ -115,3 +115,18 @@ def test_public_names_resolve():
     assert set(blossom_subdiv.__all__) <= set(dir(blossom_subdiv))
     with pytest.raises(AttributeError):
         blossom_subdiv.no_such_name
+
+
+def test_cli_import_loads_the_modules_its_hot_commands_call():
+    """Importing the CLI loads subdivision and objmesh, so a tool that
+    wraps their functions for a run (perfbench's tracer swaps the
+    references held by loaded modules) finds them before the first job."""
+    script = (
+        "import sys\nimport blossom_subdiv.cli\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('blossom_subdiv')))"
+    )
+    done = fresh(["-c", script])
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"blossom_subdiv.subdivision", "blossom_subdiv.objmesh"} <= loaded
+    assert sorted(set(NOT_LOADED) & loaded) == []
