@@ -224,17 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subdivide-curve", help="restrict a monomial curve to [a, b]")
     add_io(p)
-    p.add_argument("-a", "--a", required=True, help="interval start (rational; write -a=-1/2 for negatives)")
+    p.add_argument("-a", "--a", required=True, help="interval start (rational)")
     p.add_argument("-b", "--b", required=True, help="interval end (rational)")
     p.set_defaults(func=_cmd_subdivide_curve)
 
     p = sub.add_parser("subdivide-tpb", help="restrict a monomial surface to [a,b] x [c,d]")
     add_io(p)
     for flag, doc in (("a", "u start"), ("b", "u end"), ("c", "v start"), ("d", "v end")):
-        p.add_argument(
-            f"-{flag}", f"--{flag}", required=True,
-            help=f"{doc} (rational; write -{flag}=-1/2 for negatives)",
-        )
+        p.add_argument(f"-{flag}", f"--{flag}", required=True, help=f"{doc} (rational)")
     p.set_defaults(func=_cmd_subdivide_tpb)
 
     p = sub.add_parser("subdivide-tb", help="restrict a monomial surface to a triangle")

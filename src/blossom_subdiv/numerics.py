@@ -107,18 +107,3 @@ def multinomial(total: int, i: int, j: int) -> int:
         raise ValueError(f"multinomial requires i + j <= total, got {i}+{j} > {total}")
     return math.comb(total, i) * math.comb(total - i, j)
 
-
-class TermCounter:
-    """Tallies innermost summand evaluations.
-
-    Shared by the closed-form and enumeration code paths so the benchmark
-    harness can report machine-independent work counts.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self) -> None:
-        self.terms = 0
-
-    def add(self, count: int = 1) -> None:
-        self.terms += count

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .numerics import (
     RATIONAL_ONE,
     RATIONAL_ZERO,
     Rational,
-    TermCounter,
     binomial,
     multinomial,
 )
@@ -29,9 +28,7 @@ TensorBlossomArgs = tuple[Sequence[Rational], Sequence[Rational]]
 TriangleBlossomArgs = Sequence[Point2]
 
 
-def monomial_blossom_curve(
-    i: int, values: CurveBlossomArgs, counter: Optional[TermCounter] = None
-) -> Rational:
+def monomial_blossom_curve(i: int, values: CurveBlossomArgs) -> Rational:
     """Blossom of u**i at the given n arguments.
 
     Averages the products over all i-element index subsets of {1..n};
@@ -41,25 +38,19 @@ def monomial_blossom_curve(
     if i < 0 or i > n:
         raise ValueError(f"monomial index {i} out of range for {n} arguments")
     total = RATIONAL_ZERO
-    visited = 0
     for subset in combinations(range(n), i):
         total += prod((values[k] for k in subset), start=RATIONAL_ONE)
-        visited += 1
-    if counter is not None:
-        counter.add(visited)
     return total / binomial(n, i)
 
 
-def blossom_curve(
-    curve: MonomialCurve, values: CurveBlossomArgs, counter: Optional[TermCounter] = None
-) -> Point3:
+def blossom_curve(curve: MonomialCurve, values: CurveBlossomArgs) -> Point3:
     """Coefficient-weighted sum of monomial blossoms."""
     n = curve.degree
     if len(values) != n:
         raise ValueError(f"curve blossom needs {n} arguments, got {len(values)}")
     acc = ZERO3
     for i, coeff in enumerate(curve.coeffs):
-        acc = acc + monomial_blossom_curve(i, values, counter) * coeff
+        acc = acc + monomial_blossom_curve(i, values) * coeff
     return acc
 
 
@@ -68,7 +59,6 @@ def monomial_blossom_tensor(
     j: int,
     u_values: Sequence[Rational],
     v_values: Sequence[Rational],
-    counter: Optional[TermCounter] = None,
 ) -> Rational:
     """Blossom of u**i v**j: the product of the two univariate blossoms.
 
@@ -76,16 +66,13 @@ def monomial_blossom_tensor(
     double-subset enumeration lives in the test suite, where the equality
     of the two is asserted rather than shipped twice.
     """
-    return monomial_blossom_curve(i, u_values, counter) * monomial_blossom_curve(
-        j, v_values, counter
-    )
+    return monomial_blossom_curve(i, u_values) * monomial_blossom_curve(j, v_values)
 
 
 def blossom_tensor(
     surface: MonomialSurface,
     u_values: Sequence[Rational],
     v_values: Sequence[Rational],
-    counter: Optional[TermCounter] = None,
 ) -> Point3:
     n, m = surface.degrees
     if len(u_values) != n or len(v_values) != m:
@@ -95,13 +82,11 @@ def blossom_tensor(
     acc = ZERO3
     for i, row in enumerate(surface.coeffs):
         for j, coeff in enumerate(row):
-            acc = acc + monomial_blossom_tensor(i, j, u_values, v_values, counter) * coeff
+            acc = acc + monomial_blossom_tensor(i, j, u_values, v_values) * coeff
     return acc
 
 
-def monomial_blossom_triangle(
-    i: int, j: int, points: TriangleBlossomArgs, counter: Optional[TermCounter] = None
-) -> Rational:
+def monomial_blossom_triangle(i: int, j: int, points: TriangleBlossomArgs) -> Rational:
     """Bivariate blossom of u**i v**j at N = len(points) arguments.
 
     Enumerates every ordered pair of disjoint index subsets (size i for
@@ -115,7 +100,6 @@ def monomial_blossom_triangle(
             f"monomial indices ({i}, {j}) out of range for {n_total} arguments"
         )
     total = RATIONAL_ZERO
-    pairs = 0
     indices = range(n_total)
     for alpha in combinations(indices, i):
         taken = set(alpha)
@@ -123,15 +107,10 @@ def monomial_blossom_triangle(
         remaining = [k for k in indices if k not in taken]
         for beta in combinations(remaining, j):
             total += u_part * prod((points[k].t for k in beta), start=RATIONAL_ONE)
-            pairs += 1
-    if counter is not None:
-        counter.add(pairs)
     return total / multinomial(n_total, i, j)
 
 
-def blossom_triangle(
-    surface: MonomialSurface, points: TriangleBlossomArgs, counter: Optional[TermCounter] = None
-) -> Point3:
+def blossom_triangle(surface: MonomialSurface, points: TriangleBlossomArgs) -> Point3:
     n, m = surface.degrees
     if len(points) != n + m:
         raise ValueError(
@@ -140,5 +119,5 @@ def blossom_triangle(
     acc = ZERO3
     for i, row in enumerate(surface.coeffs):
         for j, coeff in enumerate(row):
-            acc = acc + monomial_blossom_triangle(i, j, points, counter) * coeff
+            acc = acc + monomial_blossom_triangle(i, j, points) * coeff
     return acc

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .numerics import RATIONAL_ZERO, TermCounter, binomial, multinomial
+from .numerics import RATIONAL_ZERO, binomial, multinomial
 from .geometry import (
     BezierCurve,
     DomainTriangle,
@@ -28,9 +28,15 @@ from .geometry import (
 )
 
 
-def subdivide_curve(
-    curve: MonomialCurve, interval: ParamInterval, counter: Optional[TermCounter] = None
-) -> BezierCurve:
+def _split_range(n: int, nu: int, i: int) -> range:
+    """Values of k, the number of the i factors of a degree-n monomial
+    term placed on the nu second-endpoint slots (the other i - k go to
+    the n - nu first-endpoint slots): the univariate loop bound of the
+    curve and tensor closed forms."""
+    return range(max(0, i + nu - n), min(i, nu) + 1)
+
+
+def subdivide_curve(curve: MonomialCurve, interval: ParamInterval) -> BezierCurve:
     """Bernstein control points of the curve restricted to [a, b].
 
     Control point nu equals the blossom at nu copies of b and n - nu
@@ -44,18 +50,14 @@ def subdivide_curve(
         acc = ZERO3
         for i, coeff in enumerate(curve.coeffs):
             s = RATIONAL_ZERO
-            for k in range(max(0, i + nu - n), min(i, nu) + 1):
+            for k in _split_range(n, nu, i):
                 s += binomial(nu, k) * binomial(n - nu, i - k) * b**k * a ** (i - k)
-                if counter is not None:
-                    counter.add()
             acc = acc + (s / binomial(n, i)) * coeff
         points.append(acc)
     return BezierCurve(tuple(points), interval)
 
 
-def subdivide_tensor(
-    surface: MonomialSurface, rect: ParamRect, counter: Optional[TermCounter] = None
-) -> TensorPatch:
+def subdivide_tensor(surface: MonomialSurface, rect: ParamRect) -> TensorPatch:
     """Bernstein control grid of the surface restricted to [a,b] x [c,d].
 
     The (nu, mu) point is the blossom at nu copies of b / n - nu of a in
@@ -73,9 +75,10 @@ def subdivide_tensor(
             for i, coeff_row in enumerate(surface.coeffs):
                 for j, coeff in enumerate(coeff_row):
                     s = RATIONAL_ZERO
-                    for k in range(max(0, i + nu - n), min(i, nu) + 1):
+                    r_range = _split_range(m, mu, j)
+                    for k in _split_range(n, nu, i):
                         u_factor = binomial(nu, k) * binomial(n - nu, i - k) * b**k * a ** (i - k)
-                        for r in range(max(0, j + mu - m), min(j, mu) + 1):
+                        for r in r_range:
                             s += (
                                 u_factor
                                 * binomial(mu, r)
@@ -83,8 +86,6 @@ def subdivide_tensor(
                                 * d**r
                                 * c ** (j - r)
                             )
-                            if counter is not None:
-                                counter.add()
                     acc = acc + (s / (binomial(n, i) * binomial(m, j))) * coeff
             row.append(acc)
         grid.append(tuple(row))
@@ -121,9 +122,7 @@ def _numerator(value: Fraction, q: int) -> int:
     return value.numerator * (q // value.denominator)
 
 
-def subdivide_triangle(
-    surface: MonomialSurface, tri: DomainTriangle, counter: Optional[TermCounter] = None
-) -> TrianglePatch:
+def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> TrianglePatch:
     """Bernstein control points of the surface restricted to a triangle.
 
     The patch has total degree N = n + m. Point (nu, mu) is the blossom at
@@ -179,8 +178,6 @@ def subdivide_triangle(
                             * tb2[mu - i_b][j_b]
                             * tc2[lam - i_g][j_g]
                         )
-                        if counter is not None:
-                            counter.add()
                     s *= scale[i][j]
                     tx += s * x
                     ty += s * y

@@ -3,15 +3,14 @@ import random
 import pytest
 
 from blossom_subdiv.bench import (
+    METHODS,
     BenchRecord,
     run_benchmark,
     tensor_blossom_enumerated,
     write_csv,
 )
-from blossom_subdiv.geometry import MonomialSurface
-from blossom_subdiv.numerics import TermCounter
 from blossom_subdiv.oracle import blossom_tensor
-from blossom_subdiv.sampling import random_point3, random_rational, random_surface
+from blossom_subdiv.sampling import random_rational, random_surface
 
 import io
 import csv
@@ -37,18 +36,6 @@ class TestEnumeratedTensorBlossom:
                 surface, u_values, v_values
             )
 
-    def test_pair_count(self):
-        rng = random.Random(910)
-        surface = MonomialSurface(
-            tuple(tuple(random_point3(rng) for _ in range(3)) for _ in range(3))
-        )
-        counter = TermCounter()
-        u = [random_rational(rng) for _ in range(2)]
-        v = [random_rational(rng) for _ in range(2)]
-        tensor_blossom_enumerated(surface, u, v, counter)
-        # one summand per (u-subset, v-subset) pair: (sum C(2,i))^2
-        assert counter.terms == 16
-
 
 class TestRunBenchmark:
     def test_oracle_term_count_dominates(self):
@@ -70,11 +57,27 @@ class TestRunBenchmark:
         ]
         assert strip(first) == strip(second)
 
-    def test_closed_form_tb_term_counts_pinned(self):
-        # One term per summand of the paper's triangular sum: the counts do
-        # not depend on how the summands are evaluated.
-        records, _ = run_benchmark(["tb"], [2, 3, 4, 5], oracle_degree_cap=-1)
-        assert [r.term_count for r in records] == [345, 2065, 8820, 29988]
+    @pytest.mark.parametrize(
+        "shape,method,points,terms",
+        [
+            ("curve", "closed-form", [1, 2, 3, 4, 5, 6], [1, 4, 10, 20, 35, 56]),
+            ("curve", "oracle", [1, 2, 3, 4, 5], [1, 4, 12, 32, 80]),
+            ("tpb", "closed-form", [1, 4, 9, 16, 25, 36], [1, 16, 100, 400, 1225, 3136]),
+            ("tpb", "oracle", [1, 4, 9, 16, 25], [1, 16, 144, 1024, 6400]),
+            ("tb", "closed-form", [1, 6, 15, 28, 45, 66], [1, 33, 345, 2065, 8820, 29988]),
+            ("tb", "oracle", [1, 6, 15, 28, 45], [1, 42, 945, 16324, 243315]),
+        ],
+        ids=[f"{shape}-{method}" for shape in ("curve", "tpb", "tb") for method in METHODS],
+    )
+    def test_term_counts_pinned(self, shape, method, points, terms):
+        # One term per summand each formula evaluates, for degrees 0 up to
+        # 5 (closed form) or 4 (oracle): the counts depend on the degrees
+        # only, so the columns must not drift.
+        cap = 4 if method == "oracle" else -1
+        records, _ = run_benchmark([shape], range(len(terms)), oracle_degree_cap=cap)
+        rows = [r for r in records if r.method == method]
+        assert [r.control_point_count for r in rows] == points
+        assert [r.term_count for r in rows] == terms
 
     def test_oracle_cap_warns_and_skips(self):
         records, warnings = run_benchmark(["tb"], [3], oracle_degree_cap=2)

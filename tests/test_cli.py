@@ -1,14 +1,19 @@
 """End-to-end CLI checks: exit codes, document round-trips, golden-file
 regeneration, and the stdin/stdout default plumbing."""
 
+import contextlib
+import copy
 import csv
 import hashlib
 import io
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blossom_subdiv.cli import main
 from blossom_subdiv.documents import (
@@ -29,6 +34,16 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_on_stdin(argv, text):
+    """main(argv) with text as stdin; usable inside hypothesis tests,
+    which cannot take function-scoped fixtures such as capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestSubdivideCurve:
@@ -484,6 +499,95 @@ class TestBoundary:
         assert ("meshing started" in err) == allowed
         assert (f"over the budget of {MESH_VERTEX_BUDGET}" in err) != allowed
 
+    # The commands that accept each kind; every command reads stdin.
+    MESH = ["mesh", "-g", "2"]
+    EVAL_U = ["eval", "-u", "1/2"]
+    EVAL_UV = ["eval", "-u", "1/3", "-v", "1/5"]
+    FITTING = {
+        "curve": [MESH, EVAL_U, ["subdivide-curve", "-a", "-1/2", "-b", "1"]],
+        "surface": [
+            MESH,
+            EVAL_UV,
+            ["subdivide-tpb", "-a", "0", "-b", "1", "-c", "-1/3", "-d", "1/2"],
+            ["subdivide-tb", "--vertices", "0,0", "1,0", "0,1"],
+        ],
+        "bezier-curve": [MESH, EVAL_U],
+        "tpb-patch": [MESH, EVAL_UV],
+        "tb-patch": [MESH, EVAL_UV],
+    }
+    COMMANDS = FITTING["curve"] + FITTING["surface"][1:]
+    VALID = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 10)
+        | st.sampled_from(["", "0", "-1/2", "1/0", "0.5", "x", "curve", "tb-patch"])
+        | st.text(max_size=4)
+    )
+    # st.recursive alone draws a container nine times in ten.
+    json_values = scalars | st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=3), children, max_size=3),
+        max_leaves=6,
+    )
+    # Another rational in place of a rational keeps a document valid.
+    rationals = st.sampled_from(["0", "1", "-7/3", "5/2", "-1", "1/99999999999"])
+
+    @staticmethod
+    def _paths(node, prefix=()):
+        """(key path, value) of every value below the document root."""
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield prefix + (key,), child
+            if isinstance(child, (dict, list)):
+                yield from TestBoundary._paths(child, prefix + (key,))
+
+    @st.composite
+    def mutated_runs(draw):
+        """A command and a valid document with one value deleted, or
+        replaced by any JSON value, or (a rational) by another rational;
+        mostly a command that accepts the original's kind."""
+        doc = copy.deepcopy(draw(st.sampled_from(TestBoundary.VALID)))
+        commands = TestBoundary.FITTING[doc["kind"]]
+        argv = draw(st.sampled_from(commands) | st.sampled_from(TestBoundary.COMMANDS))
+        action = draw(st.sampled_from(["any", "rational", "delete"]))
+        paths = [
+            path
+            for path, value in TestBoundary._paths(doc)
+            if action != "rational" or (isinstance(value, str) and path != ("kind",))
+        ]
+        # Pick the depth first, so that whole fields and entries change
+        # about as often as single coordinates.
+        depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            values = TestBoundary.rationals if action == "rational" else TestBoundary.json_values
+            parent[path[-1]] = draw(values)
+        return argv, json.dumps(doc)
+
+    def _assert_exit_0_or_2(self, argv, text):
+        code, out, err = run_on_stdin(argv, text)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(COMMANDS), st.text(max_size=40) | json_values.map(json.dumps))
+    def test_any_text_exits_0_or_2(self, argv, text):
+        self._assert_exit_0_or_2(argv, text)
+
+    @settings(max_examples=300)
+    @given(mutated_runs())
+    def test_mutated_document_exits_0_or_2(self, run):
+        self._assert_exit_0_or_2(*run)
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
@@ -491,6 +595,25 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-b", "1/2"], "-a", "-1/2"),
+            (
+                ["subdivide-tpb", "-i", str(DATA / "surface_3x2.json"), "-a", "0", "-b", "1"]
+                + ["-d", "1/2"],
+                "-c",
+                "-1/3",
+            ),
+        ],
+        ids=["curve", "tpb"],
+    )
+    def test_negative_value_after_its_flag(self, argv, flag, value, capsys):
+        """`-a -1/2` gives the bytes of `-a=-1/2`."""
+        spaced = run(argv + [flag, value], capsys)
+        assert spaced[0] == 0
+        assert spaced == run(argv + [f"{flag}={value}"], capsys)
 
 
 class TestDiagnosticColor:

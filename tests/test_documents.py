@@ -1,13 +1,22 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blossom_subdiv import (
+    BezierCurve,
+    DomainTriangle,
     MonomialCurve,
     MonomialSurface,
     ParamInterval,
+    ParamRect,
+    Point2,
     Point3,
+    TensorPatch,
+    TrianglePatch,
     subdivide_curve,
     subdivide_tensor,
     subdivide_triangle,
@@ -164,3 +173,55 @@ class TestAnyDocument:
         )
         parse_any_document((DATA / name).read_text(encoding="utf-8"))
         assert len(decoded) == 1
+
+
+# Small rationals, zero, negatives and denominators far beyond 64 bits.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+points3 = st.builds(Point3, rationals, rationals, rationals)
+points2 = st.builds(Point2, rationals, rationals)
+intervals = st.builds(ParamInterval, rationals, rationals)
+degrees = st.integers(0, 3)
+
+
+def _row(length):
+    return st.lists(points3, min_size=length, max_size=length).map(tuple)
+
+
+def _grid(n, m):
+    return st.lists(_row(m + 1), min_size=n + 1, max_size=n + 1).map(tuple)
+
+
+rows = degrees.flatmap(lambda n: _row(n + 1))
+grids = st.tuples(degrees, degrees).flatmap(lambda nm: _grid(*nm))
+triangles = degrees.flatmap(lambda n: st.tuples(*(_row(n - nu + 1) for nu in range(n + 1))))
+
+KINDS = {
+    "curve": (st.builds(MonomialCurve, rows), curve_document),
+    "surface": (st.builds(MonomialSurface, grids), surface_document),
+    "bezier-curve": (st.builds(BezierCurve, rows, intervals), bezier_curve_document),
+    "tpb-patch": (
+        st.builds(TensorPatch, grids, st.builds(ParamRect, intervals, intervals)),
+        tensor_patch_document,
+    ),
+    "tb-patch": (
+        st.builds(TrianglePatch, triangles, st.builds(DomainTriangle, points2, points2, points2)),
+        triangle_patch_document,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_parse_inverts_dumps(kind, data):
+    strategy, to_document = KINDS[kind]
+    obj = data.draw(strategy)
+    text = dumps(to_document(obj))
+    parse = parse_input_document if kind in documents.SURFACE_KINDS else parse_patch_document
+    assert json.loads(text)["kind"] == kind
+    assert parse(text) == obj
+    assert parse_any_document(text) == obj

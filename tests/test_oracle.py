@@ -22,11 +22,9 @@ from blossom_subdiv import (
     monomial_blossom_curve,
     monomial_blossom_tensor,
     monomial_blossom_triangle,
-    multinomial,
     eval_monomial_curve,
     eval_monomial_surface,
 )
-from blossom_subdiv.numerics import TermCounter
 from blossom_subdiv.sampling import random_point3, random_rational
 
 import golden
@@ -176,15 +174,6 @@ class TestMonomialBlossomTriangle:
             assert monomial_blossom_triangle(0, j, points) == monomial_blossom_curve(
                 j, [p.t for p in points]
             )
-
-    def test_enumeration_visits_multinomial_many_pairs(self):
-        rng = random.Random(11)
-        points = [Point2(random_rational(rng), random_rational(rng)) for _ in range(6)]
-        for i in range(4):
-            for j in range(4):
-                counter = TermCounter()
-                monomial_blossom_triangle(i, j, points, counter)
-                assert counter.terms == multinomial(6, i, j)
 
     def test_out_of_range_rejected(self):
         points = [Point2(0, 0), Point2(1, 1)]
