@@ -7,9 +7,8 @@ whatever its value, so a cell's count depends on its degrees alone; it
 is derived from them, through the loop bounds the kernels themselves
 use, and only the kernel or oracle call is timed. The enumeration side
 prices the definitional formulas: per-subset products for curves,
-per-pair products of index subsets for tensor patches (not the cheaper
-product factorization the oracle module ships), and disjoint subset
-pairs for triangular patches.
+per-pair products of index subsets for tensor patches, and disjoint
+subset pairs for triangular patches.
 """
 
 from __future__ import annotations
@@ -18,19 +17,11 @@ import csv
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
 from typing import Sequence, TextIO
 
-from .numerics import (
-    DEFAULT_ORACLE_DEGREE_CAP,
-    RATIONAL_ONE,
-    RATIONAL_ZERO,
-    binomial,
-    multinomial,
-)
-from .geometry import MonomialCurve, MonomialSurface, Point3, ZERO3
-from .oracle import blossom_curve, blossom_triangle
+from .numerics import ORACLE_DEGREE_CAP, multinomial
+from .geometry import MonomialCurve, MonomialSurface
+from .oracle import blossom_net
 from .sampling import random_interval, random_point3, random_rect, random_triangle
 from .subdivision import (
     _split_range,
@@ -63,31 +54,6 @@ class BenchRecord:
     wall_time_ns: int
     control_point_count: int
     term_count: int
-
-
-def tensor_blossom_enumerated(
-    surface: MonomialSurface,
-    u_values: Sequence,
-    v_values: Sequence,
-) -> Point3:
-    """Tensor blossom by enumerating every pair of index subsets.
-
-    One summand per (u-subset, v-subset) pair; this is the definitional
-    double enumeration the closed form is benchmarked against.
-    """
-    n, m = surface.degrees
-    if len(u_values) != n or len(v_values) != m:
-        raise ValueError("argument lengths must match the surface degrees")
-    acc = ZERO3
-    for i, row in enumerate(surface.coeffs):
-        for j, coeff in enumerate(row):
-            total = RATIONAL_ZERO
-            for alpha in combinations(range(n), i):
-                u_part = prod((u_values[k] for k in alpha), start=RATIONAL_ONE)
-                for beta in combinations(range(m), j):
-                    total += u_part * prod((v_values[k] for k in beta), start=RATIONAL_ONE)
-            acc = acc + (total / (binomial(n, i) * binomial(m, j))) * coeff
-    return acc
 
 
 def _bench_instance(shape: str, degree: int, seed: int):
@@ -146,28 +112,8 @@ def _run_closed_form(shape: str, instance) -> None:
 
 
 def _run_oracle(shape: str, instance) -> None:
-    obj, domain = instance
-    if shape == "curve":
-        n = obj.degree
-        a, b = domain.a, domain.b
-        for nu in range(n + 1):
-            blossom_curve(obj, (b,) * nu + (a,) * (n - nu))
-    elif shape == "tpb":
-        n, m = obj.degrees
-        a, b = domain.u_range.a, domain.u_range.b
-        c, d = domain.v_range.a, domain.v_range.b
-        for nu in range(n + 1):
-            for mu in range(m + 1):
-                tensor_blossom_enumerated(
-                    obj, (b,) * nu + (a,) * (n - nu), (d,) * mu + (c,) * (m - mu)
-                )
-    else:
-        n, m = obj.degrees
-        n_total = n + m
-        for nu in range(n_total + 1):
-            for mu in range(n_total - nu + 1):
-                args = (domain.va,) * nu + (domain.vb,) * mu + (domain.vc,) * (n_total - nu - mu)
-                blossom_triangle(obj, args)
+    for _ in blossom_net(*instance):
+        pass
 
 
 def run_benchmark(
@@ -175,10 +121,14 @@ def run_benchmark(
     degrees: Sequence[int],
     repeat: int = 1,
     seed: int = 0,
-    oracle_degree_cap: int = DEFAULT_ORACLE_DEGREE_CAP,
+    oracle_degree_cap: int = ORACLE_DEGREE_CAP,
 ) -> tuple[list[BenchRecord], list[str]]:
     """One record per (shape, degree, method, repetition); oracle rows
     above the degree cap are skipped with a warning instead of hanging."""
+    if oracle_degree_cap > ORACLE_DEGREE_CAP:
+        raise ValueError(
+            f"oracle degree cap must be at most {ORACLE_DEGREE_CAP}, got {oracle_degree_cap}"
+        )
     if not shapes:
         raise ValueError("no shapes requested")
     for shape in shapes:

@@ -31,9 +31,8 @@ from .geometry import (
     eval_monomial_surface,
 )
 from .numerics import (
-    DEFAULT_ORACLE_DEGREE_CAP,
     MESH_VERTEX_BUDGET,
-    VERIFY_MAX_DEGREE_CAP,
+    ORACLE_DEGREE_CAP,
     format_rational,
     parse_rational,
 )
@@ -172,14 +171,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    if args.format != "obj":
-        raise documents.DocumentError(f"unsupported mesh format {args.format!r}")
-    if args.samples < 2:
-        raise documents.DocumentError("mesh needs --samples of at least 2")
     obj = documents.parse_any_document(_read_input(args.input))
+    text = mesh_document(obj, args.samples, args.with_net)
     if args.with_net and isinstance(obj, (MonomialCurve, MonomialSurface)):
         _warn("monomial documents have no control net; ignoring --with-net")
-    _write_output(args.output, mesh_document(obj, args.samples, args.with_net))
+    _write_output(args.output, text)
     return 0
 
 
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="random instances per shape")
     p.add_argument(
         "--max-degree", type=int, default=3,
-        help=f"degree bound for random instances (at most {VERIFY_MAX_DEGREE_CAP})",
+        help=f"degree bound for random instances (at most {ORACLE_DEGREE_CAP})",
     )
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
     p.set_defaults(func=_cmd_verify)
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"vertices per edge (>= 2); a mesh of more than {MESH_VERTEX_BUDGET} "
         "sampled vertices is refused",
     )
-    p.add_argument("--format", default="obj", help="mesh format (only obj)")
     p.add_argument("--with-net", action="store_true", help="emit the control net as line elements")
     p.set_defaults(func=_cmd_mesh)
 
@@ -274,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1, help="repetitions per cell")
     p.add_argument("--seed", type=int, default=0, help="instance RNG seed")
     p.add_argument(
-        "--max-oracle-degree", type=int, default=DEFAULT_ORACLE_DEGREE_CAP,
-        help="skip enumeration rows above this degree",
+        "--max-oracle-degree", type=int, default=ORACLE_DEGREE_CAP,
+        help=f"skip enumeration rows above this degree (at most {ORACLE_DEGREE_CAP})",
     )
     p.add_argument("--output", "-o", default="-", help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_bench)

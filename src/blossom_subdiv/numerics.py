@@ -29,13 +29,12 @@ _RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # module every command loads anyway, so the CLI can name them in its help
 # without importing the code they guard.
 #
-# bench skips the brute-force oracle above this degree.
-DEFAULT_ORACLE_DEGREE_CAP = 6
-# verify runs the oracle on every trial at random degrees up to its
-# --max-degree, and the oracle's cost is combinatorial in them: one
-# worst-case tb pass takes about 3 s at 4x4 and 40 s at 5x5 (Python 3.11
-# on one core of a shared 2-vCPU host), so larger bounds are refused.
-VERIFY_MAX_DEGREE_CAP = 5
+# The brute-force oracle's cost is combinatorial in the degree: one
+# worst-case tb pass takes about 3 s at 4x4 and 35-40 s at 5x5, and a
+# 6x6 one was still running after 180 s (Python 3.11 on one core of a
+# shared 2-vCPU host). So verify --max-degree and bench
+# --max-oracle-degree above this are refused.
+ORACLE_DEGREE_CAP = 5
 # mesh evaluates every sampled vertex exactly and holds them all, at about
 # 0.5 ms and 0.8 KB each on a degree-(3, 2) tensor patch and 1.6 ms on a
 # degree-5 triangle patch (Python 3.11 on one core of a shared 2-vCPU

@@ -1,9 +1,13 @@
 """Brute-force blossom evaluation by literal enumeration of distinct-index
-subsets.
+subsets, and the control nets built from it.
 
-This module is the ground truth the closed-form subdivision is checked
-against, so it deliberately shares no code with that path and does no
-memoization or pruning: combinatorial cost is the price of trust.
+Every blossom is its polar-form definition summed term by term: one
+product per index subset (curves), per pair of a u subset and a v subset
+(tensor surfaces), and per pair of disjoint subsets (triangular
+surfaces). This module is the ground truth the closed-form subdivision is
+checked against, so it deliberately shares no code with that path and
+does no memoization, factoring or pruning: combinatorial cost is the
+price of trust.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .numerics import (
     binomial,
     multinomial,
 )
-from .geometry import MonomialCurve, MonomialSurface, Point2, Point3, ZERO3
+from .geometry import MonomialCurve, MonomialSurface, ParamRect, Point2, Point3, ZERO3
 
 # Blossom argument bundles. Lengths must match the polynomial's degree(s);
 # the evaluation functions enforce that.
@@ -60,13 +64,22 @@ def monomial_blossom_tensor(
     u_values: Sequence[Rational],
     v_values: Sequence[Rational],
 ) -> Rational:
-    """Blossom of u**i v**j: the product of the two univariate blossoms.
+    """Blossom of u**i v**j at n u-arguments and m v-arguments.
 
-    The product factorization is the production path; the equivalent raw
-    double-subset enumeration lives in the test suite, where the equality
-    of the two is asserted rather than shipped twice.
+    Sums the products over every pair of an i-element subset of the u
+    indices and a j-element subset of the v indices, and divides by the
+    C(n, i) C(m, j) pairs. That this equals the product of the two
+    univariate blossoms is asserted by the tests, not used here.
     """
-    return monomial_blossom_curve(i, u_values) * monomial_blossom_curve(j, v_values)
+    n, m = len(u_values), len(v_values)
+    if not (0 <= i <= n and 0 <= j <= m):
+        raise ValueError(f"monomial indices ({i}, {j}) out of range for ({n}, {m}) arguments")
+    total = RATIONAL_ZERO
+    for alpha in combinations(range(n), i):
+        u_part = prod((u_values[k] for k in alpha), start=RATIONAL_ONE)
+        for beta in combinations(range(m), j):
+            total += u_part * prod((v_values[k] for k in beta), start=RATIONAL_ONE)
+    return total / (binomial(n, i) * binomial(m, j))
 
 
 def blossom_tensor(
@@ -121,3 +134,31 @@ def blossom_triangle(surface: MonomialSurface, points: TriangleBlossomArgs) -> P
         for j, coeff in enumerate(row):
             acc = acc + monomial_blossom_triangle(i, j, points) * coeff
     return acc
+
+
+def blossom_net(obj, domain):
+    """(index, control point) of obj restricted to domain, in the kernels'
+    row-major order: (nu,) over a ParamInterval, (nu, mu) over a ParamRect
+    or a DomainTriangle. Each point is the blossom at the domain's
+    vertices: b nu times and a n - nu times, per direction of a rectangle;
+    va nu, vb mu and vc N - nu - mu times on a triangle. The blossoms are
+    looked up as module globals at each call, so a wrapper set on this
+    module (perfbench's tracer) sees every one.
+    """
+    if isinstance(obj, MonomialCurve):
+        n, a, b = obj.degree, domain.a, domain.b
+        for nu in range(n + 1):
+            yield (nu,), blossom_curve(obj, (b,) * nu + (a,) * (n - nu))
+    elif isinstance(domain, ParamRect):
+        (n, m), u, v = obj.degrees, domain.u_range, domain.v_range
+        for nu in range(n + 1):
+            for mu in range(m + 1):
+                u_args = (u.b,) * nu + (u.a,) * (n - nu)
+                v_args = (v.b,) * mu + (v.a,) * (m - mu)
+                yield (nu, mu), blossom_tensor(obj, u_args, v_args)
+    else:
+        n_total = sum(obj.degrees)
+        for nu in range(n_total + 1):
+            for mu in range(n_total - nu + 1):
+                args = (domain.va,) * nu + (domain.vb,) * mu + (domain.vc,) * (n_total - nu - mu)
+                yield (nu, mu), blossom_triangle(obj, args)

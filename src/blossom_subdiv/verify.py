@@ -9,8 +9,8 @@ from typing import Optional
 
 from . import documents
 from .geometry import BezierCurve, TensorPatch
-from .numerics import VERIFY_MAX_DEGREE_CAP
-from .oracle import blossom_curve, blossom_tensor, blossom_triangle
+from .numerics import ORACLE_DEGREE_CAP
+from .oracle import blossom_net
 from .sampling import random_curve, random_interval, random_rect, random_surface, random_triangle
 from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
 
@@ -40,43 +40,23 @@ def _point_strings(p) -> list[str]:
     return [str(p.x), str(p.y), str(p.z)]
 
 
-def _curve_points(curve, patch):
-    """(index, closed form, oracle) per control point; point nu is the
-    blossom at nu copies of b and n - nu copies of a."""
-    a, b, n = patch.domain.a, patch.domain.b, patch.degree
-    for nu, got in enumerate(patch.control_points):
-        yield (nu,), got, blossom_curve(curve, (b,) * nu + (a,) * (n - nu))
-
-
-def _tensor_points(surface, patch):
-    n, m = patch.degrees
-    u, v = patch.domain.u_range, patch.domain.v_range
-    for nu, row in enumerate(patch.control_points):
-        for mu, got in enumerate(row):
-            u_args = (u.b,) * nu + (u.a,) * (n - nu)
-            v_args = (v.b,) * mu + (v.a,) * (m - mu)
-            yield (nu, mu), got, blossom_tensor(surface, u_args, v_args)
-
-
-def _triangle_points(surface, patch):
-    tri, n_total = patch.domain, patch.degree
-    for nu, mu, got in patch.labelled_points():
-        args = (tri.va,) * nu + (tri.vb,) * mu + (tri.vc,) * (n_total - nu - mu)
-        yield (nu, mu), got, blossom_triangle(surface, args)
+def _kernel_points(patch):
+    """The patch's control points in row-major order."""
+    if isinstance(patch, BezierCurve):
+        return patch.control_points
+    rows = patch.control_points if isinstance(patch, TensorPatch) else patch.rows
+    return [p for row in rows for p in row]
 
 
 def _trial(rng: random.Random, max_degree: int):
     """Draw and subdivide one trial's instances, curve then tpb then tb:
-    (shape, input, patch, lazy per-point comparisons)."""
+    (shape, input, patch)."""
     curve = random_curve(rng, max_degree)
-    patch = subdivide_curve(curve, random_interval(rng))
-    yield "curve", curve, patch, _curve_points(curve, patch)
+    yield "curve", curve, subdivide_curve(curve, random_interval(rng))
     surface = random_surface(rng, max_degree, max_degree)
-    patch = subdivide_tensor(surface, random_rect(rng))
-    yield "tpb", surface, patch, _tensor_points(surface, patch)
+    yield "tpb", surface, subdivide_tensor(surface, random_rect(rng))
     surface = random_surface(rng, max_degree, max_degree)
-    patch = subdivide_triangle(surface, random_triangle(rng))
-    yield "tb", surface, patch, _triangle_points(surface, patch)
+    yield "tb", surface, subdivide_triangle(surface, random_triangle(rng))
 
 
 def _counterexample(obj, patch) -> dict:
@@ -100,16 +80,17 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if not 0 <= max_degree <= VERIFY_MAX_DEGREE_CAP:
+    if not 0 <= max_degree <= ORACLE_DEGREE_CAP:
         raise ValueError(
-            f"max degree must lie in 0..{VERIFY_MAX_DEGREE_CAP}, got {max_degree}"
+            f"max degree must lie in 0..{ORACLE_DEGREE_CAP}, got {max_degree}"
         )
     rng = random.Random(seed)
     report = VerifyReport(trials=trials, checked_points={"curve": 0, "tpb": 0, "tb": 0})
     for trial in range(trials):
-        for shape, obj, patch, points in _trial(rng, max_degree):
+        for shape, obj, patch in _trial(rng, max_degree):
             compared = 0
-            for index, got, want in points:
+            net = blossom_net(obj, patch.domain)
+            for (index, want), got in zip(net, _kernel_points(patch), strict=True):
                 if got != want:
                     report.mismatch = Mismatch(
                         shape, trial, index, _point_strings(got), _point_strings(want),

@@ -1,16 +1,11 @@
-import random
-
 import pytest
 
 from blossom_subdiv.bench import (
     METHODS,
     BenchRecord,
     run_benchmark,
-    tensor_blossom_enumerated,
     write_csv,
 )
-from blossom_subdiv.oracle import blossom_tensor
-from blossom_subdiv.sampling import random_rational, random_surface
 
 import io
 import csv
@@ -22,19 +17,6 @@ def by_method(records, shape, degrees):
         if rec.shape == shape and rec.degrees == degrees:
             out[rec.method] = rec
     return out
-
-
-class TestEnumeratedTensorBlossom:
-    def test_matches_production_oracle(self):
-        rng = random.Random(909)
-        for _ in range(10):
-            surface = random_surface(rng, 3, 3)
-            n, m = surface.degrees
-            u_values = [random_rational(rng) for _ in range(n)]
-            v_values = [random_rational(rng) for _ in range(m)]
-            assert tensor_blossom_enumerated(surface, u_values, v_values) == blossom_tensor(
-                surface, u_values, v_values
-            )
 
 
 class TestRunBenchmark:

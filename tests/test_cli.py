@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import time
 from pathlib import Path
 from unittest import mock
@@ -268,11 +269,11 @@ class TestVerify:
         self, shape, oracle, capsys, monkeypatch, tmp_path
     ):
         # Sabotage one oracle so the comparison for that shape must fail.
-        import blossom_subdiv.verify as verify_mod
+        import blossom_subdiv.oracle as oracle_mod
 
-        real = getattr(verify_mod, oracle)
+        real = getattr(oracle_mod, oracle)
         monkeypatch.setattr(
-            verify_mod, oracle, lambda *args, **kw: real(*args, **kw) + Point3(1, 0, 0)
+            oracle_mod, oracle, lambda *args, **kw: real(*args, **kw) + Point3(1, 0, 0)
         )
         code, _, err = run(["verify", "--trials", "2", "--max-degree", "1"], capsys)
         assert code == 1
@@ -295,6 +296,41 @@ class TestVerify:
         code, out, _ = run(argv + ["-i", str(src)], capsys)
         assert code == 0
         assert json.loads(out)["domain"] == domain
+
+    @pytest.mark.parametrize(
+        "oracle", [None, "blossom_curve", "blossom_tensor", "blossom_triangle"]
+    )
+    def test_cli_reports_what_run_verification_returns(self, oracle, capsys, monkeypatch):
+        import blossom_subdiv.oracle as oracle_mod
+        from blossom_subdiv.verify import run_verification
+
+        if oracle is not None:
+            real = getattr(oracle_mod, oracle)
+            monkeypatch.setattr(
+                oracle_mod, oracle, lambda *args, **kw: real(*args, **kw) + Point3(1, 0, 0)
+            )
+        report = run_verification(30, 3, 7)
+        code, out, err = run(
+            ["verify", "--trials", "30", "--max-degree", "3", "--seed", "7"], capsys
+        )
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[:3] == [
+            f"{shape}: {report.checked_points[shape]} control points compared exactly"
+            for shape in ("curve", "tpb", "tb")
+        ]
+        if oracle is None:
+            assert report.ok and code == 0 and len(lines) == 4
+            return
+        mm = report.mismatch
+        assert code == 1
+        assert mm.shape == {"blossom_curve": "curve", "blossom_tensor": "tpb"}.get(oracle, "tb")
+        shape, trial, index = re.match(
+            r"error: mismatch in (\w+) trial (\d+) at control point (\(.*?\)):", lines[3]
+        ).groups()
+        assert (shape, int(trial), index) == (mm.shape, mm.trial, str(mm.index))
+        counterexample = err[err.index("{\n"):]
+        assert counterexample == json.dumps({"counterexample": mm.instance}, indent=2) + "\n"
 
 
 class TestMesh:
@@ -419,6 +455,24 @@ class TestBench:
     def test_empty_shapes_exits_2(self, capsys):
         code, _, _ = run(["bench", "--shapes", "", "--degrees", "2"], capsys)
         assert code == 2
+
+    def test_max_oracle_degree_above_cap_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            ["bench", "--shapes", "tb", "--degrees", "6", "--max-oracle-degree", "6"], capsys
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_default_cap_skips_degree_6_oracle(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["bench", "--shapes", "tb", "--degrees", "6"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "skipping oracle" in err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["method"] for row in rows} == {"closed-form"}
 
     def test_degree_above_cap_skips_oracle_with_warning(self, capsys):
         code, out, err = run(

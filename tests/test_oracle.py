@@ -1,9 +1,9 @@
 """The brute-force blossoms: defining-property (axiom) tests, hand-checked
-enumerations, and the product-form equivalence for the tensor case."""
+enumerations, and the tensor enumeration's factorization into the two
+univariate blossoms."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import prod
 
 import pytest
@@ -15,7 +15,6 @@ from blossom_subdiv import (
     MonomialSurface,
     Point2,
     Point3,
-    binomial,
     blossom_curve,
     blossom_tensor,
     blossom_triangle,
@@ -32,19 +31,6 @@ import golden
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 points3 = st.builds(Point3, rationals, rationals, rationals)
 points2 = st.builds(Point2, rationals, rationals)
-
-
-def raw_tensor_enumeration(i, j, u_values, v_values):
-    """Definitional double-subset enumeration, kept independent of the
-    shipped product-form path on purpose."""
-    n, m = len(u_values), len(v_values)
-    total = Fraction(0)
-    for alpha in combinations(range(n), i):
-        for beta in combinations(range(m), j):
-            total += prod((u_values[k] for k in alpha), start=Fraction(1)) * prod(
-                (v_values[k] for k in beta), start=Fraction(1)
-            )
-    return total / (binomial(n, i) * binomial(m, j))
 
 
 class TestMonomialBlossomCurve:
@@ -108,6 +94,8 @@ class TestMonomialBlossomTensor:
         assert got == 12
 
     def test_product_form_equals_raw_enumeration(self):
+        # The literal pair enumeration factors into the two univariate
+        # blossoms: a theorem checked here, not a shortcut the oracle takes.
         rng = random.Random(2024)
         for n in range(5):
             for m in range(5):
@@ -117,7 +105,15 @@ class TestMonomialBlossomTensor:
                     for j in range(m + 1):
                         assert monomial_blossom_tensor(
                             i, j, u_values, v_values
-                        ) == raw_tensor_enumeration(i, j, u_values, v_values)
+                        ) == monomial_blossom_curve(i, u_values) * monomial_blossom_curve(
+                            j, v_values
+                        )
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            monomial_blossom_tensor(2, 0, [Fraction(1)], [Fraction(1)])
+        with pytest.raises(ValueError):
+            monomial_blossom_tensor(0, -1, [Fraction(1)], [Fraction(1)])
 
 
 class TestBlossomTensor:
