@@ -16,8 +16,7 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .numerics import ORACLE_DEGREE_CAP, multinomial
 from .geometry import MonomialCurve, MonomialSurface
@@ -34,19 +33,10 @@ from .subdivision import (
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
 
-CSV_COLUMNS = (
-    "shape",
-    "degrees",
-    "method",
-    "repetition",
-    "wall_time_ns",
-    "control_point_count",
-    "term_count",
-)
 
+class BenchRecord(NamedTuple):
+    """One CSV row; the fields are the columns, in order."""
 
-@dataclass(frozen=True)
-class BenchRecord:
     shape: str
     degrees: str
     method: str
@@ -167,16 +157,5 @@ def run_benchmark(
 
 def write_csv(records: Sequence[BenchRecord], stream: TextIO) -> None:
     writer = csv.writer(stream)
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.shape,
-                rec.degrees,
-                rec.method,
-                rec.repetition,
-                rec.wall_time_ns,
-                rec.control_point_count,
-                rec.term_count,
-            ]
-        )
+    writer.writerow(BenchRecord._fields)
+    writer.writerows(records)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -30,12 +31,7 @@ from .geometry import (
     eval_monomial_curve,
     eval_monomial_surface,
 )
-from .numerics import (
-    MESH_VERTEX_BUDGET,
-    ORACLE_DEGREE_CAP,
-    format_rational,
-    parse_rational,
-)
+from .numerics import MESH_VERTEX_BUDGET, ORACLE_DEGREE_CAP, parse_rational
 from .objmesh import mesh_document
 from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
 
@@ -67,7 +63,7 @@ def _error(message: str) -> None:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_path(path), "r", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -75,7 +71,7 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(_path(path), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -143,10 +139,7 @@ def _cmd_eval(args) -> int:
             point = de_casteljau_tensor(obj, u, v)
         else:
             point = de_casteljau_triangle(obj, u, v)
-    payload = {
-        "point": [format_rational(point.x), format_rational(point.y), format_rational(point.z)]
-    }
-    _write_output(args.output, json.dumps(payload) + "\n")
+    _write_output(args.output, json.dumps({"point": documents.point_to_json(point)}) + "\n")
     return 0
 
 
@@ -164,7 +157,7 @@ def _cmd_verify(args) -> int:
     mm = report.mismatch
     _error(
         f"mismatch in {mm.shape} trial {mm.trial} at control point {mm.index}: "
-        f"closed-form {mm.closed_form} vs oracle {mm.oracle}"
+        f"closed-form {mm.closed_form or 'missing'} vs oracle {mm.oracle or 'missing'}"
     )
     sys.stderr.write(json.dumps({"counterexample": mm.instance}, indent=2) + "\n")
     return 1
@@ -196,11 +189,9 @@ def _cmd_bench(args) -> int:
     )
     for message in warnings:
         _warn(message)
-    if args.output == "-":
-        bench_mod.write_csv(records, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            bench_mod.write_csv(records, fh)
+    text = io.StringIO()
+    bench_mod.write_csv(records, text)
+    _write_output(args.output, text.getvalue())
     return 0
 
 
@@ -277,12 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _looks_negative(arg: str) -> bool:
+    bare = arg.lstrip(" ")
+    return bare[:1] == "-" and bare[1:2].isdigit()
+
+
 def _shield_negative_values(argv: list[str]) -> list[str]:
     """argparse takes any argument that starts with "-" and is not a plain
     number, such as the vertex -1/2,0, for an option. No option of this
     program starts with "-" and a digit, so such an argument is a value; a
-    leading space keeps it one, and every value parser strips it."""
-    return [" " + arg if arg[:1] == "-" and arg[1:2].isdigit() else arg for arg in argv]
+    leading space keeps it one. parse_rational strips it and _path removes
+    it. One that already has spaces before the "-" gets one more, so each
+    path argument reaches open as it was typed."""
+    return [" " + arg if _looks_negative(arg) else arg for arg in argv]
+
+
+def _path(raw: str) -> str:
+    """A path option's value without the space _shield_negative_values put
+    in front of it."""
+    return raw[1:] if raw[:1] == " " and _looks_negative(raw) else raw
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -27,6 +27,9 @@ from .geometry import (
 
 SURFACE_KINDS = ("curve", "surface")
 PATCH_KINDS = ("bezier-curve", "tpb-patch", "tb-patch")
+# A patch document's domain keys: the interval a..b, the rectangle
+# a..b x c..d, or the triangle's three vertices.
+_DOMAIN_KEYS = {"bezier-curve": "ab", "tpb-patch": "abcd", "tb-patch": ("va", "vb", "vc")}
 
 InputObject = Union[MonomialCurve, MonomialSurface]
 PatchObject = Union[BezierCurve, TensorPatch, TrianglePatch]
@@ -36,30 +39,46 @@ class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
 
 
-def _point3_to_json(p: Point3) -> list[str]:
-    return [format_rational(p.x), format_rational(p.y), format_rational(p.z)]
+def point_to_json(p: Union[Point3, Point2]) -> list[str]:
+    """A point as its array of rational strings, one per coordinate."""
+    return [format_rational(c) for c in p._astuple()]
 
 
-def _point3_from_json(raw) -> Point3:
-    if not isinstance(raw, list) or len(raw) != 3:
-        raise DocumentError(f"point must be a 3-element array, got {raw!r}")
+def point_from_json(raw, cls: type = Point3) -> Union[Point3, Point2]:
+    """The Point3 or Point2 that point_to_json wrote as raw."""
+    size = len(cls.__slots__)
+    if not isinstance(raw, list) or len(raw) != size:
+        what = "point" if cls is Point3 else "parameter point"
+        raise DocumentError(f"{what} must be a {size}-element array, got {raw!r}")
     try:
-        return Point3(*(parse_rational(c) for c in raw))
+        return cls(*(parse_rational(c) for c in raw))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
 
-def _point2_to_json(p: Point2) -> list[str]:
-    return [format_rational(p.s), format_rational(p.t)]
+def domain_to_json(domain: Union[ParamInterval, ParamRect, DomainTriangle]) -> dict:
+    """A patch document's domain object, keyed as _DOMAIN_KEYS lists."""
+    if isinstance(domain, DomainTriangle):
+        return dict(zip(_DOMAIN_KEYS["tb-patch"], map(point_to_json, domain._astuple())))
+    ranges = domain._astuple() if isinstance(domain, ParamRect) else (domain,)
+    ends = [format_rational(end) for interval in ranges for end in interval._astuple()]
+    return dict(zip(_DOMAIN_KEYS["tpb-patch"], ends))
 
 
-def _point2_from_json(raw) -> Point2:
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise DocumentError(f"parameter point must be a 2-element array, got {raw!r}")
+def domain_from_json(raw, kind: str) -> Union[ParamInterval, ParamRect, DomainTriangle]:
+    """The domain of a patch document of the given kind, as domain_to_json wrote it."""
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{kind} domain must be an object")
+    missing = [key for key in _DOMAIN_KEYS[kind] if key not in raw]
+    if missing:
+        raise DocumentError(f"{kind} domain missing key {missing[0]!r}")
+    if kind == "tb-patch":
+        return DomainTriangle(*(point_from_json(raw[key], Point2) for key in _DOMAIN_KEYS[kind]))
     try:
-        return Point2(*(parse_rational(c) for c in raw))
+        a, b, *cd = (parse_rational(raw[key]) for key in _DOMAIN_KEYS[kind])
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
+    return ParamRect(ParamInterval(a, b), ParamInterval(*cd)) if cd else ParamInterval(a, b)
 
 
 def dumps(document: dict) -> str:
@@ -96,7 +115,7 @@ def curve_document(curve: MonomialCurve) -> dict:
     return {
         "kind": "curve",
         "degree": [curve.degree],
-        "coeffs": [_point3_to_json(c) for c in curve.coeffs],
+        "coeffs": [point_to_json(c) for c in curve.coeffs],
     }
 
 
@@ -105,7 +124,7 @@ def surface_document(surface: MonomialSurface) -> dict:
     return {
         "kind": "surface",
         "degree": [n, m],
-        "coeffs": [[_point3_to_json(c) for c in row] for row in surface.coeffs],
+        "coeffs": [[point_to_json(c) for c in row] for row in surface.coeffs],
     }
 
 
@@ -130,7 +149,7 @@ def _point_grid(raw, degrees: list[int], what: str) -> tuple:
     if not isinstance(raw, list) or len(raw) != degrees[0] + 1:
         raise DocumentError(f"{what} must be an array of {degrees[0] + 1} entries")
     if len(degrees) == 1:
-        return tuple(_point3_from_json(p) for p in raw)
+        return tuple(point_from_json(p) for p in raw)
     return tuple(_point_grid(row, degrees[1:], what) for row in raw)
 
 
@@ -149,59 +168,36 @@ def _input_from_obj(obj: dict) -> InputObject:
 
 
 def bezier_curve_document(bezier: BezierCurve) -> dict:
-    interval = bezier.domain
     return {
         "kind": "bezier-curve",
         "degree": [bezier.degree],
-        "domain": {"a": format_rational(interval.a), "b": format_rational(interval.b)},
-        "control_points": [_point3_to_json(p) for p in bezier.control_points],
+        "domain": domain_to_json(bezier.domain),
+        "control_points": [point_to_json(p) for p in bezier.control_points],
     }
 
 
 def tensor_patch_document(patch: TensorPatch) -> dict:
     n, m = patch.degrees
-    rect = patch.domain
     return {
         "kind": "tpb-patch",
         "degree": [n, m],
-        "domain": {
-            "a": format_rational(rect.u_range.a),
-            "b": format_rational(rect.u_range.b),
-            "c": format_rational(rect.v_range.a),
-            "d": format_rational(rect.v_range.b),
-        },
-        "control_points": [[_point3_to_json(p) for p in row] for row in patch.control_points],
+        "domain": domain_to_json(patch.domain),
+        "control_points": [[point_to_json(p) for p in row] for row in patch.control_points],
     }
 
 
 def triangle_patch_document(patch: TrianglePatch) -> dict:
     # Explicit (nu, mu) labels per point: self-describing rows are worth
     # the bytes given how easy triangular index conventions are to mix up.
-    tri = patch.domain
     return {
         "kind": "tb-patch",
         "degree": [patch.degree],
-        "domain": {
-            "va": _point2_to_json(tri.va),
-            "vb": _point2_to_json(tri.vb),
-            "vc": _point2_to_json(tri.vc),
-        },
+        "domain": domain_to_json(patch.domain),
         "control_points": [
-            {"nu": nu, "mu": mu, "point": _point3_to_json(p)}
+            {"nu": nu, "mu": mu, "point": point_to_json(p)}
             for nu, mu, p in patch.labelled_points()
         ],
     }
-
-
-def _parse_interval(raw, keys=("a", "b")) -> ParamInterval:
-    if not isinstance(raw, dict):
-        raise DocumentError("domain must be an object")
-    try:
-        return ParamInterval(parse_rational(raw[keys[0]]), parse_rational(raw[keys[1]]))
-    except KeyError as exc:
-        raise DocumentError(f"domain missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
 
 
 def parse_patch_document(text: str) -> PatchObject:
@@ -218,19 +214,11 @@ def _patch_from_obj(obj: dict) -> PatchObject:
     if kind not in PATCH_KINDS:
         raise DocumentError(f"expected a patch kind {PATCH_KINDS}, got {kind!r}")
     points = obj.get("control_points")
-    domain = obj.get("domain")
-    if kind == "bezier-curve":
-        degrees = _degrees(obj, 1)
+    if kind != "tb-patch":
+        degrees = _degrees(obj, 1 if kind == "bezier-curve" else 2)
         grid = _point_grid(points, degrees, f"{kind} control_points")
-        return BezierCurve(grid, _parse_interval(domain))
-    if kind == "tpb-patch":
-        degrees = _degrees(obj, 2)
-        grid = _point_grid(points, degrees, f"{kind} control_points")
-        rect = ParamRect(
-            _parse_interval(domain, ("a", "b")), _parse_interval(domain, ("c", "d"))
-        )
-        return TensorPatch(grid, rect)
-    # tb-patch
+        patch_type = BezierCurve if kind == "bezier-curve" else TensorPatch
+        return patch_type(grid, domain_from_json(obj.get("domain"), kind))
     (n_total,) = _degrees(obj, 1)
     expected = (n_total + 1) * (n_total + 2) // 2
     if not isinstance(points, list) or len(points) != expected:
@@ -238,30 +226,18 @@ def _patch_from_obj(obj: dict) -> PatchObject:
             f"tb-patch of degree {n_total} needs {expected} control points, "
             f"got {len(points) if isinstance(points, list) else points!r}"
         )
-    if not isinstance(domain, dict):
-        raise DocumentError("tb-patch domain must be an object")
-    try:
-        tri = DomainTriangle(
-            _point2_from_json(domain["va"]),
-            _point2_from_json(domain["vb"]),
-            _point2_from_json(domain["vc"]),
-        )
-    except KeyError as exc:
-        raise DocumentError(f"tb-patch domain missing vertex {exc.args[0]!r}") from None
-    by_label = {}
+    tri = domain_from_json(obj.get("domain"), kind)
+    rows = [[None] * (n_total - nu + 1) for nu in range(n_total + 1)]
     for entry in points:
         if not isinstance(entry, dict) or not {"nu", "mu", "point"} <= entry.keys():
             raise DocumentError("tb-patch control points need nu/mu/point entries")
         nu, mu = entry["nu"], entry["mu"]
         if not (type(nu) is int and type(mu) is int) or nu < 0 or mu < 0 or nu + mu > n_total:
             raise DocumentError(f"invalid tb-patch control index ({nu!r}, {mu!r})")
-        if (nu, mu) in by_label:
+        if rows[nu][mu] is not None:
             raise DocumentError(f"duplicate tb-patch control index ({nu}, {mu})")
-        by_label[(nu, mu)] = _point3_from_json(entry["point"])
-    rows = tuple(
-        tuple(by_label[(nu, mu)] for mu in range(n_total - nu + 1))
-        for nu in range(n_total + 1)
-    )
+        rows[nu][mu] = point_from_json(entry["point"])
+    # As many entries as points and no index twice: every slot is filled.
     return TrianglePatch(rows, tri)
 
 

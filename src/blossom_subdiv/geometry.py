@@ -335,14 +335,15 @@ def de_casteljau_triangle(patch: TrianglePatch, u: Rational, v: Rational) -> Poi
     u = as_rational(u)
     v = as_rational(v)
     w = RATIONAL_ONE - u - v
-    layer = {(nu, mu): p for nu, mu, p in patch.labelled_points()}
-    for level in range(patch.degree, 0, -1):
-        layer = {
-            (nu, mu): u * layer[(nu + 1, mu)] + v * layer[(nu, mu + 1)] + w * layer[(nu, mu)]
-            for nu in range(level)
-            for mu in range(level - nu)
-        }
-    return layer[(0, 0)]
+    # Point (nu, mu) of the next level mixes (nu + 1, mu) from the row
+    # below with (nu, mu + 1) and (nu, mu) from its own row.
+    layer = patch.rows
+    while len(layer) > 1:
+        layer = [
+            [u * p_a + v * p_b + w * p_c for p_a, p_c, p_b in zip(below, row, row[1:])]
+            for row, below in zip(layer, layer[1:])
+        ]
+    return layer[0][0]
 
 
 def barycentric_to_cartesian(tri: DomainTriangle, u: Rational, v: Rational) -> Point2:

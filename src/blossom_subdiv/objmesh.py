@@ -89,35 +89,36 @@ def _quad_grid(grid: list[list[Point3]], net: list[list[Point3]] | None) -> list
     return lines
 
 
+def _triangle_id(base: int, size: int, r: int, c: int) -> int:
+    """OBJ number of point c of row r in a triangular grid whose rows
+    hold size, size - 1, ... points, numbered row by row after base."""
+    return base + r * size - r * (r - 1) // 2 + c + 1
+
+
 def _triangle_grid(patch: TrianglePatch, samples: int, with_net: bool) -> list[str]:
-    n_rows = samples
-    index = {}
     lines = ["g patch"]
-    count = 0
     # Rows by the first barycentric weight; row r has samples - r points.
-    for r in range(n_rows):
+    for r in range(samples):
         u = Fraction(r, samples - 1)
-        for c in range(n_rows - r):
+        for c in range(samples - r):
             v = Fraction(c, samples - 1)
             lines.append(_vertex(de_casteljau_triangle(patch, u, v)))
-            index[(r, c)] = count = count + 1
-    for r in range(n_rows - 1):
-        for c in range(n_rows - 1 - r):
-            lines.append(f"f {index[(r, c)]} {index[(r + 1, c)]} {index[(r, c + 1)]}")
-            if c + 1 < n_rows - 1 - r:
-                lines.append(f"f {index[(r + 1, c)]} {index[(r + 1, c + 1)]} {index[(r, c + 1)]}")
+    vid = lambda r, c: _triangle_id(0, samples, r, c)
+    for r in range(samples - 1):
+        for c in range(samples - 1 - r):
+            lines.append(f"f {vid(r, c)} {vid(r + 1, c)} {vid(r, c + 1)}")
+            if c + 1 < samples - 1 - r:
+                lines.append(f"f {vid(r + 1, c)} {vid(r + 1, c + 1)} {vid(r, c + 1)}")
     if with_net:
         lines.append("g control-net")
-        base = count
-        net_index = {}
-        for nu, mu, p in patch.labelled_points():
-            lines.append(_vertex(p))
-            net_index[(nu, mu)] = base = base + 1
+        lines += [_vertex(p) for _, _, p in patch.labelled_points()]
+        base = samples * (samples + 1) // 2
+        nid = lambda nu, mu: _triangle_id(base, patch.degree + 1, nu, mu)
         for nu, mu, _ in patch.labelled_points():
             if nu + mu < patch.degree:
-                lines.append(f"l {net_index[(nu, mu)]} {net_index[(nu + 1, mu)]}")
-                lines.append(f"l {net_index[(nu, mu)]} {net_index[(nu, mu + 1)]}")
-                lines.append(f"l {net_index[(nu + 1, mu)]} {net_index[(nu, mu + 1)]}")
+                lines.append(f"l {nid(nu, mu)} {nid(nu + 1, mu)}")
+                lines.append(f"l {nid(nu, mu)} {nid(nu, mu + 1)}")
+                lines.append(f"l {nid(nu + 1, mu)} {nid(nu, mu + 1)}")
     return lines
 
 

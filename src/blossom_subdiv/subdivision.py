@@ -10,7 +10,7 @@ module provides the independent cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterator
 
 from .numerics import RATIONAL_ZERO, binomial, multinomial
@@ -36,6 +36,13 @@ def _split_range(n: int, nu: int, i: int) -> range:
     return range(max(0, i + nu - n), min(i, nu) + 1)
 
 
+def _split_term(n: int, nu: int, i: int, k: int, a, b):
+    """Summand k of the univariate split sum over _split_range: the ways to
+    place k of i factors on nu b-slots and i - k on n - nu a-slots, times
+    b**k * a**(i - k). A tensor patch multiplies one per direction."""
+    return binomial(nu, k) * binomial(n - nu, i - k) * b**k * a ** (i - k)
+
+
 def subdivide_curve(curve: MonomialCurve, interval: ParamInterval) -> BezierCurve:
     """Bernstein control points of the curve restricted to [a, b].
 
@@ -51,7 +58,7 @@ def subdivide_curve(curve: MonomialCurve, interval: ParamInterval) -> BezierCurv
         for i, coeff in enumerate(curve.coeffs):
             s = RATIONAL_ZERO
             for k in _split_range(n, nu, i):
-                s += binomial(nu, k) * binomial(n - nu, i - k) * b**k * a ** (i - k)
+                s += _split_term(n, nu, i, k, a, b)
             acc = acc + (s / binomial(n, i)) * coeff
         points.append(acc)
     return BezierCurve(tuple(points), interval)
@@ -77,15 +84,9 @@ def subdivide_tensor(surface: MonomialSurface, rect: ParamRect) -> TensorPatch:
                     s = RATIONAL_ZERO
                     r_range = _split_range(m, mu, j)
                     for k in _split_range(n, nu, i):
-                        u_factor = binomial(nu, k) * binomial(n - nu, i - k) * b**k * a ** (i - k)
+                        u_factor = _split_term(n, nu, i, k, a, b)
                         for r in r_range:
-                            s += (
-                                u_factor
-                                * binomial(mu, r)
-                                * binomial(m - mu, j - r)
-                                * d**r
-                                * c ** (j - r)
-                            )
+                            s += u_factor * _split_term(m, mu, j, r, c, d)
                     acc = acc + (s / (binomial(n, i) * binomial(m, j))) * coeff
             row.append(acc)
         grid.append(tuple(row))
@@ -189,17 +190,17 @@ def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> Triangl
     return TrianglePatch(tuple(rows), tri)
 
 
-def _binomial_chain(*pairs: tuple[int, int]) -> int:
-    """Product of binomials that short-circuits to 0, treating a negative
-    upper argument as an empty choice set."""
-    out = 1
-    for n, k in pairs:
-        if n < 0:
-            return 0
-        out *= binomial(n, k)
-        if out == 0:
-            return 0
-    return out
+def _placement_count(nu: int, mu: int, n_total: int, first: tuple, second: tuple) -> int:
+    """Number of disjoint index-set pairs that put first[z] indices of one
+    set and second[z] of the other in zone z (nu, mu and N - nu - mu
+    slots), choosing the first set's indices before the second's. A zone
+    left with negative room holds no placement."""
+    counts = first + second
+    if any(c < 0 for c in counts):
+        raise ValueError(f"zone counts must be non-negative, got {counts}")
+    zones = (nu, mu, n_total - nu - mu)
+    uppers = zones + tuple(z - f for z, f in zip(zones, first))
+    return 0 if min(uppers) < 0 else prod(map(binomial, uppers, counts))
 
 
 def placement_count_u_first(
@@ -215,17 +216,8 @@ def placement_count_u_first(
 ) -> int:
     """Number of disjoint index-set pairs with the prescribed per-zone
     counts, grouping the first-coordinate placements before the second."""
-    counts = (i_alpha, i_beta, i_gamma, j_alpha, j_beta, j_gamma)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"zone counts must be non-negative, got {counts}")
-    lam = n_total - nu - mu
-    return _binomial_chain(
-        (nu, i_alpha),
-        (mu, i_beta),
-        (lam, i_gamma),
-        (nu - i_alpha, j_alpha),
-        (mu - i_beta, j_beta),
-        (lam - i_gamma, j_gamma),
+    return _placement_count(
+        nu, mu, n_total, (i_alpha, i_beta, i_gamma), (j_alpha, j_beta, j_gamma)
     )
 
 
@@ -243,15 +235,6 @@ def placement_count_v_first(
     """Same count as placement_count_u_first with the grouping swapped:
     second-coordinate placements chosen first. The two must agree on
     every valid tuple."""
-    counts = (i_alpha, i_beta, i_gamma, j_alpha, j_beta, j_gamma)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"zone counts must be non-negative, got {counts}")
-    lam = n_total - nu - mu
-    return _binomial_chain(
-        (nu, j_alpha),
-        (mu, j_beta),
-        (lam, j_gamma),
-        (nu - j_alpha, i_alpha),
-        (mu - j_beta, i_beta),
-        (lam - j_gamma, i_gamma),
+    return _placement_count(
+        nu, mu, n_total, (j_alpha, j_beta, j_gamma), (i_alpha, i_beta, i_gamma)
     )

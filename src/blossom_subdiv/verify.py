@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import documents
-from .geometry import BezierCurve, TensorPatch
+from .geometry import BezierCurve, MonomialCurve, TensorPatch
 from .numerics import ORACLE_DEGREE_CAP
 from .oracle import blossom_net
 from .sampling import random_curve, random_interval, random_rect, random_surface, random_triangle
@@ -20,8 +20,9 @@ class Mismatch:
     shape: str
     trial: int
     index: tuple[int, ...]
-    closed_form: list[str]
-    oracle: list[str]
+    # A point's coordinates, or None where that side has no such point.
+    closed_form: Optional[list[str]]
+    oracle: Optional[list[str]]
     instance: dict
 
 
@@ -36,16 +37,12 @@ class VerifyReport:
         return self.mismatch is None
 
 
-def _point_strings(p) -> list[str]:
-    return [str(p.x), str(p.y), str(p.z)]
-
-
-def _kernel_points(patch):
-    """The patch's control points in row-major order."""
+def _kernel_net(patch) -> dict:
+    """The patch's control points by index, as blossom_net indexes them."""
     if isinstance(patch, BezierCurve):
-        return patch.control_points
+        return {(k,): p for k, p in enumerate(patch.control_points)}
     rows = patch.control_points if isinstance(patch, TensorPatch) else patch.rows
-    return [p for row in rows for p in row]
+    return {(r, c): p for r, row in enumerate(rows) for c, p in enumerate(row)}
 
 
 def _trial(rng: random.Random, max_degree: int):
@@ -60,15 +57,13 @@ def _trial(rng: random.Random, max_degree: int):
 
 
 def _counterexample(obj, patch) -> dict:
-    """The input document with the domain as its patch document writes it,
+    """The input document with the domain as a patch document writes it,
     so the failing instance can be replayed through the CLI."""
-    if isinstance(patch, BezierCurve):
-        doc, patch_doc = documents.curve_document(obj), documents.bezier_curve_document(patch)
-    elif isinstance(patch, TensorPatch):
-        doc, patch_doc = documents.surface_document(obj), documents.tensor_patch_document(patch)
+    if isinstance(obj, MonomialCurve):
+        doc = documents.curve_document(obj)
     else:
-        doc, patch_doc = documents.surface_document(obj), documents.triangle_patch_document(patch)
-    doc["domain"] = patch_doc["domain"]
+        doc = documents.surface_document(obj)
+    doc["domain"] = documents.domain_to_json(patch.domain)
     return doc
 
 
@@ -88,15 +83,17 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
     report = VerifyReport(trials=trials, checked_points={"curve": 0, "tpb": 0, "tb": 0})
     for trial in range(trials):
         for shape, obj, patch in _trial(rng, max_degree):
-            compared = 0
-            net = blossom_net(obj, patch.domain)
-            for (index, want), got in zip(net, _kernel_points(patch), strict=True):
+            oracle, kernel = dict(blossom_net(obj, patch.domain)), _kernel_net(patch)
+            # Row-major order; a point on one side only is compared with None.
+            for index in sorted(oracle.keys() | kernel.keys()):
+                got, want = kernel.get(index), oracle.get(index)
                 if got != want:
+                    closed_form, expected = (
+                        None if p is None else documents.point_to_json(p) for p in (got, want)
+                    )
                     report.mismatch = Mismatch(
-                        shape, trial, index, _point_strings(got), _point_strings(want),
-                        _counterexample(obj, patch),
+                        shape, trial, index, closed_form, expected, _counterexample(obj, patch)
                     )
                     return report
-                compared += 1
-            report.checked_points[shape] += compared
+            report.checked_points[shape] += len(oracle)
     return report

@@ -23,7 +23,7 @@ from blossom_subdiv.documents import (
     parse_input_document,
     parse_patch_document,
 )
-from blossom_subdiv import MonomialCurve, Point3
+from blossom_subdiv import BezierCurve, MonomialCurve, Point3, TensorPatch
 from blossom_subdiv.numerics import MESH_VERTEX_BUDGET
 
 import golden
@@ -331,6 +331,72 @@ class TestVerify:
         assert (shape, int(trial), index) == (mm.shape, mm.trial, str(mm.index))
         counterexample = err[err.index("{\n"):]
         assert counterexample == json.dumps({"counterexample": mm.instance}, indent=2) + "\n"
+
+
+    @pytest.mark.parametrize(
+        "shape,kernel,reshape,side,index",
+        [
+            (
+                "curve", "subdivide_curve",
+                lambda p: BezierCurve(p.control_points[:-1], p.domain),
+                "closed-form", lambda degree: (degree[0],),
+            ),
+            (
+                "curve", "subdivide_curve",
+                lambda p: BezierCurve(p.control_points + p.control_points[-1:], p.domain),
+                "oracle", lambda degree: (degree[0] + 1,),
+            ),
+            (
+                "tpb", "subdivide_tensor",
+                lambda p: TensorPatch(p.control_points[:-1], p.domain),
+                "closed-form", lambda degree: (degree[0], 0),
+            ),
+        ],
+        ids=["short-curve", "long-curve", "tpb-missing-last-row"],
+    )
+    def test_wrong_point_count_is_a_mismatch(
+        self, shape, kernel, reshape, side, index, capsys, monkeypatch, tmp_path
+    ):
+        """A kernel that returns too few or too many control points fails
+        verification like a wrong point: exit 1 and a replayable
+        counterexample, with the point that one side lacks shown as
+        missing."""
+        import blossom_subdiv.verify as verify_mod
+
+        real = getattr(verify_mod, kernel)
+
+        def sabotaged(obj, domain):
+            patch = real(obj, domain)
+            try:
+                return reshape(patch)
+            except ValueError:  # a degree-0 patch has no point to spare
+                return patch
+
+        monkeypatch.setattr(verify_mod, kernel, sabotaged)
+        argv = ["verify", "--trials", "3", "--max-degree", "2", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        instance = json.loads(err[err.index("{\n"):])["counterexample"]
+        line = err.splitlines()[3]
+        assert line.startswith(f"error: mismatch in {shape} trial ")
+        assert f" at control point {index(instance['degree'])}: " in line
+        assert f"{side} missing" in line
+        assert _replay(shape, instance, tmp_path, capsys) == 0
+
+
+def _replay(shape, instance, tmp_path, capsys):
+    """Exit code of subdividing a verify counterexample over its own
+    domain through the CLI; the output must record that same domain."""
+    src = tmp_path / "instance.json"
+    src.write_text(dumps(instance))
+    domain = instance["domain"]
+    if shape == "curve":
+        argv = ["subdivide-curve", f"-a={domain['a']}", f"-b={domain['b']}"]
+    else:
+        argv = ["subdivide-tpb"] + [f"-{k}={domain[k]}" for k in "abcd"]
+    code, out, _ = run(argv + ["-i", str(src)], capsys)
+    assert json.loads(out)["domain"] == domain
+    return code
 
 
 class TestMesh:
@@ -668,6 +734,37 @@ class TestUsage:
         spaced = run(argv + [flag, value], capsys)
         assert spaced[0] == 0
         assert spaced == run(argv + [f"{flag}={value}"], capsys)
+
+
+    def test_input_path_starting_with_dash_and_digit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-1in.json").write_text((DATA / "curve_cubic.json").read_text())
+        argv = ["subdivide-curve", "-a", "0", "-b", "1"]
+        code, out, err = run(argv + ["-i", "-1in.json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == run(argv + ["-i", str(DATA / "curve_cubic.json")], capsys)[1]
+
+    @pytest.mark.parametrize(
+        "argv,path",
+        [
+            (["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-a", "0", "-b", "1"],
+             "-2out.json"),
+            (["mesh", "-i", str(DATA / "tb_unit_triangle.json"), "-g", "3"], "-5.obj"),
+            (["mesh", "-i", str(DATA / "tb_unit_triangle.json"), "-g", "3"], " -6.obj"),
+            (["bench", "--shapes", "curve", "--degrees", "1"], "-4.csv"),
+        ],
+        ids=["subdivide-curve", "mesh", "mesh-leading-space", "bench"],
+    )
+    def test_output_path_starting_with_dash_and_digit(
+        self, argv, path, capsys, tmp_path, monkeypatch
+    ):
+        """The file is created under the name typed, with no space added or
+        taken away."""
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(argv + ["-o", path], capsys)
+        assert (code, out) == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == [path]
+        assert (tmp_path / path).read_text()
 
 
 class TestDiagnosticColor:

@@ -303,9 +303,14 @@ class TestPlacementCounts:
     def test_small_hand_case(self):
         assert placement_count_u_first(1, 1, 2, 1, 0, 0, 0, 1, 0) == 1
 
-    def test_negative_counts_rejected(self):
+    @pytest.mark.parametrize(
+        "placement_count",
+        [placement_count_u_first, placement_count_v_first],
+        ids=["u_first", "v_first"],
+    )
+    def test_negative_counts_rejected(self, placement_count):
         with pytest.raises(ValueError):
-            placement_count_u_first(1, 1, 2, -1, 0, 0, 0, 0, 0)
+            placement_count(1, 1, 2, -1, 0, 0, 0, 0, 0)
 
     def test_groupings_agree_small_grid(self):
         for n_total in range(6):
