@@ -22,13 +22,7 @@ from .numerics import ORACLE_DEGREE_CAP, multinomial
 from .geometry import MonomialCurve, MonomialSurface
 from .oracle import blossom_net
 from .sampling import random_interval, random_point3, random_rect, random_triangle
-from .subdivision import (
-    _split_range,
-    iter_placements,
-    subdivide_curve,
-    subdivide_tensor,
-    subdivide_triangle,
-)
+from .subdivision import _split_range, iter_placements, subdivide
 
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
@@ -96,13 +90,8 @@ def _cell_counts(shape: str, method: str, n: int) -> tuple[int, int]:
     return points, curve_terms if shape == "curve" else curve_terms**2
 
 
-def _run_closed_form(shape: str, instance) -> None:
-    kernel = {"curve": subdivide_curve, "tpb": subdivide_tensor, "tb": subdivide_triangle}
-    kernel[shape](*instance)
-
-
-def _run_oracle(shape: str, instance) -> None:
-    for _ in blossom_net(*instance):
+def _run_oracle(obj, domain) -> None:
+    for _ in blossom_net(obj, domain):
         pass
 
 
@@ -143,11 +132,11 @@ def run_benchmark(
                         f"{oracle_degree_cap} (enumeration cost is combinatorial)"
                     )
                     continue
-                runner = _run_closed_form if method == "closed-form" else _run_oracle
+                runner = subdivide if method == "closed-form" else _run_oracle
                 count, terms = _cell_counts(shape, method, degree)
                 for repetition in range(repeat):
                     start = time.perf_counter_ns()
-                    runner(shape, instance)
+                    runner(*instance)
                     elapsed = time.perf_counter_ns() - start
                     records.append(
                         BenchRecord(shape, label, method, repetition, elapsed, count, terms)

@@ -12,28 +12,23 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from typing import Optional
 
 from . import documents
 from .geometry import (
-    BezierCurve,
     DomainTriangle,
     MonomialCurve,
     MonomialSurface,
     ParamInterval,
     ParamRect,
     Point2,
-    TensorPatch,
-    de_casteljau_curve,
-    de_casteljau_tensor,
-    de_casteljau_triangle,
-    eval_monomial_curve,
-    eval_monomial_surface,
+    evaluate,
 )
 from .numerics import MESH_VERTEX_BUDGET, ORACLE_DEGREE_CAP, parse_rational
 from .objmesh import mesh_document
-from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
+from .subdivision import subdivide
 
 # verify and bench are imported by their own commands when they run, so
 # subdivide, eval and mesh never load the oracle, verify or bench code.
@@ -82,63 +77,37 @@ def _parse_vertex(raw: str) -> Point2:
     return Point2(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
-def _cmd_subdivide_curve(args) -> int:
-    obj = documents.parse_input_document(_read_input(args.input))
-    if not isinstance(obj, MonomialCurve):
-        raise documents.DocumentError("subdivide-curve needs a 'curve' document")
-    interval = ParamInterval(parse_rational(args.a), parse_rational(args.b))
-    bezier = subdivide_curve(obj, interval)
-    _write_output(args.output, documents.dumps(documents.bezier_curve_document(bezier)))
-    return 0
+def _interval(args) -> ParamInterval:
+    return ParamInterval(parse_rational(args.a), parse_rational(args.b))
 
 
-def _cmd_subdivide_tpb(args) -> int:
-    obj = documents.parse_input_document(_read_input(args.input))
-    if not isinstance(obj, MonomialSurface):
-        raise documents.DocumentError("subdivide-tpb needs a 'surface' document")
-    rect = ParamRect(
-        ParamInterval(parse_rational(args.a), parse_rational(args.b)),
-        ParamInterval(parse_rational(args.c), parse_rational(args.d)),
-    )
-    patch = subdivide_tensor(obj, rect)
-    _write_output(args.output, documents.dumps(documents.tensor_patch_document(patch)))
-    return 0
+def _rect(args) -> ParamRect:
+    v_range = ParamInterval(parse_rational(args.c), parse_rational(args.d))
+    return ParamRect(_interval(args), v_range)
 
 
-def _cmd_subdivide_tb(args) -> int:
-    obj = documents.parse_input_document(_read_input(args.input))
-    if not isinstance(obj, MonomialSurface):
-        raise documents.DocumentError("subdivide-tb needs a 'surface' document")
-    va, vb, vc = (_parse_vertex(v) for v in args.vertices)
-    tri = DomainTriangle(va, vb, vc)
+def _triangle(args) -> DomainTriangle:
+    tri = DomainTriangle(*(_parse_vertex(v) for v in args.vertices))
     if tri.is_degenerate():
         _warn("domain triangle vertices are collinear; patch is degenerate")
-    patch = subdivide_triangle(obj, tri)
-    _write_output(args.output, documents.dumps(documents.triangle_patch_document(patch)))
+    return tri
+
+
+def _cmd_subdivide(args) -> int:
+    """subdivide-*: args.domain parses the domain after the kind check."""
+    obj = documents.parse_input_document(_read_input(args.input))
+    kind = "curve" if args.domain is _interval else "surface"
+    if isinstance(obj, MonomialCurve) != (kind == "curve"):
+        raise documents.DocumentError(f"{args.command} needs a {kind!r} document")
+    patch = subdivide(obj, args.domain(args))
+    _write_output(args.output, documents.dumps(documents.document(patch)))
     return 0
 
 
 def _cmd_eval(args) -> int:
     obj = documents.parse_any_document(_read_input(args.input))
-    u = parse_rational(args.u)
-    if isinstance(obj, MonomialCurve):
-        if args.v is not None:
-            raise documents.DocumentError("curve documents take -u only")
-        point = eval_monomial_curve(obj, u)
-    elif isinstance(obj, BezierCurve):
-        if args.v is not None:
-            raise documents.DocumentError("bezier-curve documents take -u only")
-        point = de_casteljau_curve(obj, u)
-    else:
-        if args.v is None:
-            raise documents.DocumentError(f"{type(obj).__name__} evaluation needs -u and -v")
-        v = parse_rational(args.v)
-        if isinstance(obj, MonomialSurface):
-            point = eval_monomial_surface(obj, u, v)
-        elif isinstance(obj, TensorPatch):
-            point = de_casteljau_tensor(obj, u, v)
-        else:
-            point = de_casteljau_triangle(obj, u, v)
+    params = (args.u,) if args.v is None else (args.u, args.v)
+    point = evaluate(obj, *map(parse_rational, params))
     _write_output(args.output, json.dumps({"point": documents.point_to_json(point)}) + "\n")
     return 0
 
@@ -213,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("-a", "--a", required=True, help="interval start (rational)")
     p.add_argument("-b", "--b", required=True, help="interval end (rational)")
-    p.set_defaults(func=_cmd_subdivide_curve)
+    p.set_defaults(func=_cmd_subdivide, domain=_interval)
 
     p = sub.add_parser("subdivide-tpb", help="restrict a monomial surface to [a,b] x [c,d]")
     add_io(p)
     for flag, doc in (("a", "u start"), ("b", "u end"), ("c", "v start"), ("d", "v end")):
         p.add_argument(f"-{flag}", f"--{flag}", required=True, help=f"{doc} (rational)")
-    p.set_defaults(func=_cmd_subdivide_tpb)
+    p.set_defaults(func=_cmd_subdivide, domain=_rect)
 
     p = sub.add_parser("subdivide-tb", help="restrict a monomial surface to a triangle")
     add_io(p)
@@ -227,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--vertices", nargs=3, required=True, metavar="S,T",
         help="the three domain-triangle vertices as rational pairs",
     )
-    p.set_defaults(func=_cmd_subdivide_tb)
+    p.set_defaults(func=_cmd_subdivide, domain=_triangle)
 
     p = sub.add_parser("eval", help="evaluate any document at exact parameters")
     add_io(p)
@@ -273,20 +242,27 @@ def _looks_negative(arg: str) -> bool:
     return bare[:1] == "-" and bare[1:2].isdigit()
 
 
+# An argument split as argparse splits it: --name=value, -ovalue, -o=value.
+_OPTION_VALUE = re.compile(r"(--[^=]*=|-[A-Za-z]=?|)(.*)", re.DOTALL)
+
+
 def _shield_negative_values(argv: list[str]) -> list[str]:
     """argparse takes any argument that starts with "-" and is not a plain
     number, such as the vertex -1/2,0, for an option. No option of this
-    program starts with "-" and a digit, so such an argument is a value; a
-    leading space keeps it one. parse_rational strips it and _path removes
-    it. One that already has spaces before the "-" gets one more, so each
-    path argument reaches open as it was typed."""
-    return [" " + arg if _looks_negative(arg) else arg for arg in argv]
+    program starts with "-" and a digit, so each value that does, whole or
+    after its option, gets one more leading space, which keeps it a value.
+    parse_rational strips it and _path removes it: paths stay as typed."""
+    shielded = []
+    for arg in argv:
+        option, value = _OPTION_VALUE.fullmatch(arg).groups()
+        shielded.append(option + (" " + value if _looks_negative(value) else value))
+    return shielded
 
 
 def _path(raw: str) -> str:
     """A path option's value without the space _shield_negative_values put
     in front of it."""
-    return raw[1:] if raw[:1] == " " and _looks_negative(raw) else raw
+    return raw[1:] if _looks_negative(raw) else raw
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .numerics import format_rational, parse_rational
+from .numerics import format_rational, parse_wire_rational
 from .geometry import (
     BezierCurve,
     DomainTriangle,
@@ -51,7 +51,7 @@ def point_from_json(raw, cls: type = Point3) -> Union[Point3, Point2]:
         what = "point" if cls is Point3 else "parameter point"
         raise DocumentError(f"{what} must be a {size}-element array, got {raw!r}")
     try:
-        return cls(*(parse_rational(c) for c in raw))
+        return cls(*(parse_wire_rational(c) for c in raw))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -75,7 +75,7 @@ def domain_from_json(raw, kind: str) -> Union[ParamInterval, ParamRect, DomainTr
     if kind == "tb-patch":
         return DomainTriangle(*(point_from_json(raw[key], Point2) for key in _DOMAIN_KEYS[kind]))
     try:
-        a, b, *cd = (parse_rational(raw[key]) for key in _DOMAIN_KEYS[kind])
+        a, b, *cd = (parse_wire_rational(raw[key]) for key in _DOMAIN_KEYS[kind])
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     return ParamRect(ParamInterval(a, b), ParamInterval(*cd)) if cd else ParamInterval(a, b)
@@ -198,6 +198,22 @@ def triangle_patch_document(patch: TrianglePatch) -> dict:
             for nu, mu, p in patch.labelled_points()
         ],
     }
+
+
+def document(obj: Union[InputObject, PatchObject]) -> dict:
+    """The document of any curve, surface or patch. The writers are module
+    globals looked up at each call, as subdivide's kernels are."""
+    if isinstance(obj, MonomialCurve):
+        return curve_document(obj)
+    if isinstance(obj, MonomialSurface):
+        return surface_document(obj)
+    if isinstance(obj, BezierCurve):
+        return bezier_curve_document(obj)
+    if isinstance(obj, TensorPatch):
+        return tensor_patch_document(obj)
+    if isinstance(obj, TrianglePatch):
+        return triangle_patch_document(obj)
+    raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
 def parse_patch_document(text: str) -> PatchObject:

@@ -346,6 +346,26 @@ def de_casteljau_triangle(patch: TrianglePatch, u: Rational, v: Rational) -> Poi
     return layer[0][0]
 
 
+# Each kind's parameter count and evaluator.
+_EVALUATORS = {
+    MonomialCurve: (1, eval_monomial_curve),
+    BezierCurve: (1, de_casteljau_curve),
+    MonomialSurface: (2, eval_monomial_surface),
+    TensorPatch: (2, de_casteljau_tensor),
+    TrianglePatch: (2, de_casteljau_triangle),
+}
+
+
+def evaluate(obj, *params: Rational) -> Point3:
+    """The point of any curve, surface or patch at its parameters: u for
+    a curve, (u, v) for the others."""
+    arity, evaluator = _EVALUATORS[type(obj)]
+    if len(params) != arity:
+        takes = "u only" if arity == 1 else "u and v"
+        raise ValueError(f"{type(obj).__name__} evaluation takes {takes}")
+    return evaluator(obj, *params)
+
+
 def barycentric_to_cartesian(tri: DomainTriangle, u: Rational, v: Rational) -> Point2:
     """Affine combination u*va + v*vb + (1-u-v)*vc."""
     u = as_rational(u)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 # The one scalar type of the library. fractions.Fraction already maintains
@@ -42,30 +43,40 @@ ORACLE_DEGREE_CAP = 5
 # about 8 s and 30 MB on that tensor patch, 28 s on that triangle patch)
 # is refused before any evaluation.
 MESH_VERTEX_BUDGET = 2**14
+# Python's own error for an int past its text limit names a setting the CLI lacks.
+_TOO_LONG = "rational too long: a numerator or denominator has over {} digits"
+
+
+def parse_wire_rational(text: str) -> Rational:
+    """Parse "p/q" or "p", exactly as documents write it, into a canonical
+    Rational. Rejects zero denominators and anything outside that grammar
+    (whitespace, decimals, exponents, signs on the denominator)."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string, got {type(text).__name__}")
+    if not _RATIONAL_PATTERN.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}")
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or "1")
+    except ValueError:  # the pattern admits only digits, so there are too many
+        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from None
+    if den == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q" or "p" into a canonical Rational.
-
-    Rejects zero denominators and anything outside the documented grammar
-    (decimals, exponents, signs on the denominator).
-    """
-    if not isinstance(text, str):
-        raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    stripped = text.strip()
-    if not _RATIONAL_PATTERN.fullmatch(stripped):
-        raise ValueError(f"malformed rational {text!r}")
-    if "/" in stripped:
-        num, den = stripped.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(stripped))
+    """parse_wire_rational of text without surrounding whitespace, as a
+    command-line value or a library argument may carry it."""
+    return parse_wire_rational(text.strip() if isinstance(text, str) else text)
 
 
 def format_rational(value: Rational) -> str:
     """Canonical wire form: "p/q", or "p" when the denominator is 1."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # a numerator or denominator past the limit
+        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from None
 
 
 def as_rational(value) -> Rational:

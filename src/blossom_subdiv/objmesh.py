@@ -10,7 +10,7 @@ the control net as line elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .geometry import (
     BezierCurve,
@@ -19,11 +19,7 @@ from .geometry import (
     Point3,
     TensorPatch,
     TrianglePatch,
-    de_casteljau_curve,
-    de_casteljau_tensor,
-    de_casteljau_triangle,
-    eval_monomial_curve,
-    eval_monomial_surface,
+    evaluate,
 )
 from .numerics import MESH_VERTEX_BUDGET
 
@@ -45,15 +41,7 @@ def _params(samples: int) -> list[Fraction]:
     return [Fraction(k, samples - 1) for k in range(samples)]
 
 
-def _sampled_vertices(obj: Meshable, samples: int) -> int:
-    if isinstance(obj, (MonomialCurve, BezierCurve)):
-        return samples
-    if isinstance(obj, TrianglePatch):
-        return samples * (samples + 1) // 2
-    return samples * samples
-
-
-def _polyline(points: list[Point3], net: list[Point3] | None) -> list[str]:
+def _polyline(points: list[Point3], net: Sequence[Point3] | None) -> list[str]:
     lines = ["g curve"]
     lines += [_vertex(p) for p in points]
     lines.append("l " + " ".join(str(k + 1) for k in range(len(points))))
@@ -65,7 +53,7 @@ def _polyline(points: list[Point3], net: list[Point3] | None) -> list[str]:
     return lines
 
 
-def _quad_grid(grid: list[list[Point3]], net: list[list[Point3]] | None) -> list[str]:
+def _quad_grid(grid: list[list[Point3]], net: Sequence[Sequence[Point3]] | None) -> list[str]:
     rows = len(grid)
     cols = len(grid[0])
     lines = ["g patch"]
@@ -102,7 +90,7 @@ def _triangle_grid(patch: TrianglePatch, samples: int, with_net: bool) -> list[s
         u = Fraction(r, samples - 1)
         for c in range(samples - r):
             v = Fraction(c, samples - 1)
-            lines.append(_vertex(de_casteljau_triangle(patch, u, v)))
+            lines.append(_vertex(evaluate(patch, u, v)))
     vid = lambda r, c: _triangle_id(0, samples, r, c)
     for r in range(samples - 1):
         for c in range(samples - 1 - r):
@@ -133,27 +121,20 @@ def mesh_document(obj: Meshable, samples: int, with_net: bool = False) -> str:
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples per edge, got {samples}")
-    vertices = _sampled_vertices(obj, samples)
+    curve, triangle = isinstance(obj, (MonomialCurve, BezierCurve)), isinstance(obj, TrianglePatch)
+    vertices = samples if curve else samples * (samples + 1) // 2 if triangle else samples * samples
     if vertices > MESH_VERTEX_BUDGET:
         raise ValueError(
             f"{samples} samples per edge give {vertices} mesh vertices, "
             f"over the budget of {MESH_VERTEX_BUDGET}"
         )
     ts = _params(samples)
-    if isinstance(obj, MonomialCurve):
-        lines = _polyline([eval_monomial_curve(obj, t) for t in ts], None)
-    elif isinstance(obj, BezierCurve):
-        net = list(obj.control_points) if with_net else None
-        lines = _polyline([de_casteljau_curve(obj, t) for t in ts], net)
-    elif isinstance(obj, MonomialSurface):
-        grid = [[eval_monomial_surface(obj, u, v) for v in ts] for u in ts]
-        lines = _quad_grid(grid, None)
-    elif isinstance(obj, TensorPatch):
-        grid = [[de_casteljau_tensor(obj, u, v) for v in ts] for u in ts]
-        net = [list(row) for row in obj.control_points] if with_net else None
-        lines = _quad_grid(grid, net)
-    elif isinstance(obj, TrianglePatch):
+    # Monomial documents have no control net.
+    net = getattr(obj, "control_points", None) if with_net else None
+    if curve:
+        lines = _polyline([evaluate(obj, t) for t in ts], net)
+    elif triangle:
         lines = _triangle_grid(obj, samples, with_net)
     else:
-        raise TypeError(f"cannot mesh {type(obj).__name__}")
+        lines = _quad_grid([[evaluate(obj, u, v) for v in ts] for u in ts], net)
     return "\n".join(lines) + "\n"

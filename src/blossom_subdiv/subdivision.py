@@ -190,6 +190,19 @@ def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> Triangl
     return TrianglePatch(tuple(rows), tri)
 
 
+def subdivide(obj, domain):
+    """The Bernstein form of a curve over a ParamInterval, or of a surface
+    over a ParamRect or a DomainTriangle, by the kernel of the domain. The
+    kernels are module globals looked up at each call, as blossom_net's are."""
+    if isinstance(obj, MonomialCurve) and isinstance(domain, ParamInterval):
+        return subdivide_curve(obj, domain)
+    if isinstance(obj, MonomialSurface) and isinstance(domain, ParamRect):
+        return subdivide_tensor(obj, domain)
+    if isinstance(obj, MonomialSurface) and isinstance(domain, DomainTriangle):
+        return subdivide_triangle(obj, domain)
+    raise ValueError(f"cannot subdivide a {type(obj).__name__} over a {type(domain).__name__}")
+
+
 def _placement_count(nu: int, mu: int, n_total: int, first: tuple, second: tuple) -> int:
     """Number of disjoint index-set pairs that put first[z] indices of one
     set and second[z] of the other in zone z (nu, mu and N - nu - mu

@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import documents
-from .geometry import BezierCurve, MonomialCurve, TensorPatch
+from .geometry import BezierCurve, TensorPatch
 from .numerics import ORACLE_DEGREE_CAP
 from .oracle import blossom_net
 from .sampling import random_curve, random_interval, random_rect, random_surface, random_triangle
-from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
+from .subdivision import subdivide
 
 
 @dataclass
@@ -46,25 +46,18 @@ def _kernel_net(patch) -> dict:
 
 
 def _trial(rng: random.Random, max_degree: int):
-    """Draw and subdivide one trial's instances, curve then tpb then tb:
-    (shape, input, patch)."""
+    """Draw one trial's instances, curve then tpb then tb: (shape, input,
+    domain)."""
     curve = random_curve(rng, max_degree)
-    yield "curve", curve, subdivide_curve(curve, random_interval(rng))
-    surface = random_surface(rng, max_degree, max_degree)
-    yield "tpb", surface, subdivide_tensor(surface, random_rect(rng))
-    surface = random_surface(rng, max_degree, max_degree)
-    yield "tb", surface, subdivide_triangle(surface, random_triangle(rng))
+    yield "curve", curve, random_interval(rng)
+    yield "tpb", random_surface(rng, max_degree, max_degree), random_rect(rng)
+    yield "tb", random_surface(rng, max_degree, max_degree), random_triangle(rng)
 
 
-def _counterexample(obj, patch) -> dict:
+def _counterexample(obj, domain) -> dict:
     """The input document with the domain as a patch document writes it,
     so the failing instance can be replayed through the CLI."""
-    if isinstance(obj, MonomialCurve):
-        doc = documents.curve_document(obj)
-    else:
-        doc = documents.surface_document(obj)
-    doc["domain"] = documents.domain_to_json(patch.domain)
-    return doc
+    return {**documents.document(obj), "domain": documents.domain_to_json(domain)}
 
 
 def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
@@ -82,8 +75,8 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
     rng = random.Random(seed)
     report = VerifyReport(trials=trials, checked_points={"curve": 0, "tpb": 0, "tb": 0})
     for trial in range(trials):
-        for shape, obj, patch in _trial(rng, max_degree):
-            oracle, kernel = dict(blossom_net(obj, patch.domain)), _kernel_net(patch)
+        for shape, obj, domain in _trial(rng, max_degree):
+            kernel, oracle = _kernel_net(subdivide(obj, domain)), dict(blossom_net(obj, domain))
             # Row-major order; a point on one side only is compared with None.
             for index in sorted(oracle.keys() | kernel.keys()):
                 got, want = kernel.get(index), oracle.get(index)
@@ -92,7 +85,7 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
                         None if p is None else documents.point_to_json(p) for p in (got, want)
                     )
                     report.mismatch = Mismatch(
-                        shape, trial, index, closed_form, expected, _counterexample(obj, patch)
+                        shape, trial, index, closed_form, expected, _counterexample(obj, domain)
                     )
                     return report
             report.checked_points[shape] += len(oracle)

@@ -29,6 +29,7 @@ from blossom_subdiv.numerics import MESH_VERTEX_BUDGET
 import golden
 
 DATA = Path(__file__).parent / "data"
+MESH = ["mesh", "-i", str(DATA / "tb_unit_triangle.json"), "-g", "3"]
 
 
 def run(argv, capsys):
@@ -361,9 +362,9 @@ class TestVerify:
         verification like a wrong point: exit 1 and a replayable
         counterexample, with the point that one side lacks shown as
         missing."""
-        import blossom_subdiv.verify as verify_mod
+        import blossom_subdiv.subdivision as subdivision_mod
 
-        real = getattr(verify_mod, kernel)
+        real = getattr(subdivision_mod, kernel)
 
         def sabotaged(obj, domain):
             patch = real(obj, domain)
@@ -372,7 +373,7 @@ class TestVerify:
             except ValueError:  # a degree-0 patch has no point to spare
                 return patch
 
-        monkeypatch.setattr(verify_mod, kernel, sabotaged)
+        monkeypatch.setattr(subdivision_mod, kernel, sabotaged)
         argv = ["verify", "--trials", "3", "--max-degree", "2", "--seed", "1"]
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
@@ -593,6 +594,39 @@ class TestBoundary:
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
         self._run_document(["mesh"], "[" * 200_000, capsys, tmp_path)
 
+    def test_whitespace_around_a_document_rational_exits_2(self, capsys, tmp_path):
+        doc = {"kind": "curve", "degree": [0], "coeffs": [[" 1/2", "\t3\n", "0 "]]}
+        err = self._run_document(["eval", "-u", "1"], doc, capsys, tmp_path)
+        assert "malformed rational ' 1/2'" in err
+
+    @pytest.mark.parametrize(
+        "argv,digits",
+        [
+            (["eval", "-u", "1"], 5000),
+            (["eval", "-u", "100000000000000000000"], 4250),
+            (["subdivide-curve", "-a", "0", "-b", "100000000000000000000"], 4250),
+        ],
+        ids=["input", "eval-output", "subdivide-output"],
+    )
+    def test_rational_past_the_digit_limit_exits_2(self, argv, digits, capsys, tmp_path):
+        """A numerator of more digits than Python turns into or from text
+        (4300 by default), read from a document or written to one, is named
+        as too long, without Python's hint about a setting of its own."""
+        big = "1" + "0" * (digits - 1)
+        coeffs = [["1", "0", "0"]] * 3 + [[big, "0", "0"]]
+        doc = {"kind": "curve", "degree": [3], "coeffs": coeffs}
+        err = self._run_document(argv, doc, capsys, tmp_path)
+        assert err.startswith("error: rational too long:") and "sys." not in err
+        # The same document with a small parameter is fine.
+        code, _, _ = run(argv[:-1] + ["1", "-i", str(tmp_path / "doc.json")], capsys)
+        assert code == (2 if digits > 4300 else 0)
+
+    def test_command_line_rational_past_the_digit_limit_exits_2(self, capsys):
+        argv = ["eval", "-i", str(DATA / "curve_cubic.json"), "-u", "7" * 5000]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rational too long:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "name,samples,allowed",
         [
@@ -747,21 +781,29 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv,path",
         [
-            (["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-a", "0", "-b", "1"],
-             "-2out.json"),
-            (["mesh", "-i", str(DATA / "tb_unit_triangle.json"), "-g", "3"], "-5.obj"),
-            (["mesh", "-i", str(DATA / "tb_unit_triangle.json"), "-g", "3"], " -6.obj"),
-            (["bench", "--shapes", "curve", "--degrees", "1"], "-4.csv"),
+            (["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-a", "0", "-b", "1"]
+             + ["-o", "-2out.json"], "-2out.json"),
+            (MESH + ["-o", "-5.obj"], "-5.obj"),
+            (MESH + ["-o", " -6.obj"], " -6.obj"),
+            (["bench", "--shapes", "curve", "--degrees", "1", "-o", "-4.csv"], "-4.csv"),
+            (MESH + ["-o= -7.obj"], " -7.obj"),
+            (MESH + ["-o -8.obj"], " -8.obj"),
+            (MESH + ["--output= -9.obj"], " -9.obj"),
         ],
-        ids=["subdivide-curve", "mesh", "mesh-leading-space", "bench"],
+        ids=[
+            "subdivide-curve", "mesh", "mesh-leading-space", "bench",
+            "mesh-equals-leading-space", "mesh-attached-leading-space",
+            "mesh-long-equals-leading-space",
+        ],
     )
     def test_output_path_starting_with_dash_and_digit(
         self, argv, path, capsys, tmp_path, monkeypatch
     ):
         """The file is created under the name typed, with no space added or
-        taken away."""
+        taken away, whether the path is an argument of its own or is part
+        of its option's argument."""
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run(argv + ["-o", path], capsys)
+        code, out, _ = run(argv, capsys)
         assert (code, out) == (0, "")
         assert [p.name for p in tmp_path.iterdir()] == [path]
         assert (tmp_path / path).read_text()

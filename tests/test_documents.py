@@ -66,6 +66,10 @@ class TestInputDocuments:
             lambda d: d["coeffs"][0].__setitem__(0, ["1/0", "0", "0"]),
             lambda d: d["coeffs"][0].__setitem__(0, ["0.5", "0", "0"]),
             lambda d: d["coeffs"][0].__setitem__(0, ["0", "0"]),
+            # Document rationals take no whitespace.
+            lambda d: d["coeffs"][0].__setitem__(0, [" 1/2", "0", "0"]),
+            lambda d: d["coeffs"][0].__setitem__(0, ["0", "\t3\n", "0"]),
+            lambda d: d["coeffs"][0].__setitem__(0, ["0", "0", "0 "]),
         ],
     )
     def test_malformed_surface_rejected(self, mutate):

@@ -3,6 +3,7 @@ same results as repeated in-process main() calls, and the commands that
 subdivide, evaluate or mesh load no oracle, verify or bench code."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,3 +131,30 @@ def test_cli_import_loads_the_modules_its_hot_commands_call():
     loaded = set(done.stdout.split())
     assert {"blossom_subdiv.subdivision", "blossom_subdiv.objmesh"} <= loaded
     assert sorted(set(NOT_LOADED) & loaded) == []
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (["subdivide-tb", "-i", SURFACE, "--vertices", "0,0", "1,0", "0,1"], 0,
+         (DATA / "tb_unit_triangle.json").read_text(encoding="utf-8")),
+        (["subdivide-tb", "-i", SURFACE, "--vertices", "0,0", "1,0"], 2, ""),
+    ],
+    ids=["subdivide-tb", "usage-error"],
+)
+def test_installed_script_target(argv, code, out):
+    """The function pyproject.toml names as the blossom-subdiv script,
+    run as an installed script runs it: with sys.argv set, in a fresh
+    process, exiting with main's code."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(
+        r'^blossom-subdiv = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE
+    ).groups()
+    script = (
+        "import sys\nfrom importlib import import_module\n"
+        "sys.argv = ['blossom-subdiv', *sys.argv[1:]]\n"
+        f"import_module({module!r}).{function}()"
+    )
+    done = fresh(["-c", script, *argv])
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr.startswith("usage:") if code else done.stderr == ""

@@ -44,6 +44,7 @@ from blossom_subdiv.sampling import (
     random_surface,
     random_triangle,
 )
+from blossom_subdiv.subdivision import subdivide
 
 import golden
 
@@ -459,3 +460,18 @@ class TestSubdivideTriangle:
         assert patch.point(n_total, 0) == eval_monomial_surface(surface, tri.va.s, tri.va.t)
         assert patch.point(0, n_total) == eval_monomial_surface(surface, tri.vb.s, tri.vb.t)
         assert patch.point(0, 0) == eval_monomial_surface(surface, tri.vc.s, tri.vc.t)
+
+
+class TestSubdivideDispatch:
+    @pytest.mark.parametrize(
+        "obj,domain",
+        [
+            (golden.SAMPLE_CURVE, golden.UNIT_SQUARE),
+            (golden.SAMPLE_CURVE, golden.UNIT_TRIANGLE),
+            (golden.SAMPLE_SURFACE, ParamInterval(0, 1)),
+        ],
+        ids=["curve-rect", "curve-triangle", "surface-interval"],
+    )
+    def test_mismatched_pair_is_refused(self, obj, domain):
+        with pytest.raises(ValueError, match="cannot subdivide a Monomial"):
+            subdivide(obj, domain)
