@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .numerics import format_rational, parse_wire_rational
+from .numerics import format_rational, parse_wire_rational, too_long
 from .geometry import (
     BezierCurve,
     DomainTriangle,
@@ -106,6 +106,10 @@ def _loads(text: str) -> dict:
         raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
+    except DocumentError:
+        raise
+    except ValueError:  # the decoder's int() of a literal past the digit limit
+        raise DocumentError(too_long()) from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     return obj

@@ -7,6 +7,7 @@ paths that must agree bit-for-bit on exact rationals.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterator, Sequence
 
 from .numerics import (
@@ -344,6 +345,15 @@ def de_casteljau_triangle(patch: TrianglePatch, u: Rational, v: Rational) -> Poi
             for row, below in zip(layer, layer[1:])
         ]
     return layer[0][0]
+
+
+def over_common_denominators(points: Sequence[_Value]) -> tuple[list[tuple], list[int]]:
+    """(numerators, denominators): the coordinates of Point2s or Point3s
+    as integer tuples, each axis over its own common denominator."""
+    coords = [p._astuple() for p in points]
+    dens = [lcm(*(v.denominator for v in axis)) for axis in zip(*coords)]
+    nums = [tuple([v.numerator * (q // v.denominator) for v, q in zip(c, dens)]) for c in coords]
+    return nums, dens
 
 
 # Each kind's parameter count and evaluator.

@@ -37,14 +37,20 @@ _RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # --max-oracle-degree above this are refused.
 ORACLE_DEGREE_CAP = 5
 # mesh evaluates every sampled vertex exactly and holds them all, at about
-# 0.5 ms and 0.8 KB each on a degree-(3, 2) tensor patch and 1.6 ms on a
-# degree-5 triangle patch (Python 3.11 on one core of a shared 2-vCPU
-# host). So a mesh of more sampled vertices than this (a 128 x 128 grid:
-# about 8 s and 30 MB on that tensor patch, 28 s on that triangle patch)
+# 0.21 ms and 0.4 KB each on a degree-(3, 2) monomial surface (Horner),
+# 7 us on a degree-(3, 2) tensor patch and 13 us on a degree-5 triangle
+# patch (basis tables; Python 3.11 on one core of a shared 2-vCPU host).
+# So a mesh of more sampled vertices than this (a 128 x 128 grid: about
+# 3.5 s and 6 MB on that monomial surface, 0.11 s on that tensor patch)
 # is refused before any evaluation.
 MESH_VERTEX_BUDGET = 2**14
-# Python's own error for an int past its text limit names a setting the CLI lacks.
-_TOO_LONG = "rational too long: a numerator or denominator has over {} digits"
+
+
+def too_long() -> str:
+    """The message for an int past Python's text limit, whose own error
+    names a setting the CLI lacks."""
+    limit = sys.get_int_max_str_digits()
+    return f"rational too long: a numerator or denominator has over {limit} digits"
 
 
 def parse_wire_rational(text: str) -> Rational:
@@ -59,7 +65,7 @@ def parse_wire_rational(text: str) -> Rational:
     try:
         num, den = int(num), int(den or "1")
     except ValueError:  # the pattern admits only digits, so there are too many
-        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from None
+        raise ValueError(too_long()) from None
     if den == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
     return Fraction(num, den)
@@ -76,7 +82,7 @@ def format_rational(value: Rational) -> str:
     try:
         return str(value)
     except ValueError:  # a numerator or denominator past the limit
-        raise ValueError(_TOO_LONG.format(sys.get_int_max_str_digits())) from None
+        raise ValueError(too_long()) from None
 
 
 def as_rational(value) -> Rational:
@@ -116,4 +122,3 @@ def multinomial(total: int, i: int, j: int) -> int:
     if i + j > total:
         raise ValueError(f"multinomial requires i + j <= total, got {i}+{j} > {total}")
     return math.comb(total, i) * math.comb(total - i, j)
-

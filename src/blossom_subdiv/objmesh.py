@@ -4,13 +4,17 @@ This is the one place rationals become floats: vertices are converted
 round-to-nearest and printed with 17 significant digits, everything
 upstream stays exact. Curves export as polylines, tensor patches as quad
 grids, triangular patches as barycentric triangle grids; --with-net adds
-the control net as line elements.
+the control net as line elements. Bernstein forms are sampled through
+integer basis tables (Farouki and Rajan, CAGD 1988), monomial ones by
+Horner.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from math import comb
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 from .geometry import (
     BezierCurve,
@@ -20,51 +24,96 @@ from .geometry import (
     TensorPatch,
     TrianglePatch,
     evaluate,
+    over_common_denominators,
 )
-from .numerics import MESH_VERTEX_BUDGET
+from .numerics import MESH_VERTEX_BUDGET, multinomial
 
 Meshable = Union[MonomialCurve, MonomialSurface, BezierCurve, TensorPatch, TrianglePatch]
 
 
-def _fmt(value: Fraction) -> str:
+def _fmt(num: int, den: int) -> str:
+    # int / int is correctly rounded, so this is float(Fraction(num, den)).
     try:
-        return format(float(value), ".17g")
+        return format(num / den, ".17g")
     except OverflowError:
         raise ValueError("a mesh coordinate is beyond the range of a float") from None
 
 
 def _vertex(p: Point3) -> str:
-    return f"v {_fmt(p.x)} {_fmt(p.y)} {_fmt(p.z)}"
+    return "v " + " ".join([_fmt(v.numerator, v.denominator) for v in p.as_tuple()])
 
 
-def _params(samples: int) -> list[Fraction]:
-    return [Fraction(k, samples - 1) for k in range(samples)]
+def _bernstein_table(n: int, g: int) -> list[list[int]]:
+    """Row k holds g**n times the degree-n Bernstein basis at k/g."""
+    return [[comb(n, i) * k**i * (g - k) ** (n - i) for i in range(n + 1)] for k in range(g + 1)]
 
 
-def _polyline(points: list[Point3], net: Sequence[Point3] | None) -> list[str]:
-    lines = ["g curve"]
-    lines += [_vertex(p) for p in points]
-    lines.append("l " + " ".join(str(k + 1) for k in range(len(points))))
+def _combine(table: Iterable[Sequence[int]], points: Sequence[tuple]) -> list[tuple]:
+    """The integer point sum(row[k] * points[k]) of each table row."""
+    axes = list(zip(*points))
+    return [tuple([sum(map(mul, row, axis)) for axis in axes]) for row in table]
+
+
+def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
+    """Vertex lines at the parameters k/(samples - 1), in the order the
+    polyline, quad grid or triangle grid numbers them."""
+    g = samples - 1
+    if isinstance(patch, (MonomialCurve, MonomialSurface)):
+        ts = [Fraction(k, g) for k in range(samples)]
+        if isinstance(patch, MonomialCurve):
+            return [_vertex(evaluate(patch, t)) for t in ts]
+        return [_vertex(evaluate(patch, u, v)) for u in ts for v in ts]
+    if isinstance(patch, BezierCurve):
+        degree = patch.degree
+        nums, dens = over_common_denominators(patch.control_points)
+        points = _combine(_bernstein_table(degree, g), nums)
+    elif isinstance(patch, TensorPatch):
+        n, m = patch.degrees
+        degree = n + m
+        nums, dens = over_common_denominators([p for row in patch.control_points for p in row])
+        # v for each control row, then u for each sampled v.
+        table_v, table_u = _bernstein_table(m, g), _bernstein_table(n, g)
+        rows = [_combine(table_v, nums[i * (m + 1) : (i + 1) * (m + 1)]) for i in range(n + 1)]
+        columns = [_combine(table_u, column) for column in zip(*rows)]
+        points = [p for row in zip(*columns) for p in row]
+    else:
+        degree = patch.degree
+        nums, dens = over_common_denominators([p for row in patch.rows for p in row])
+        labels = [(nu, mu, degree - nu - mu) for nu, mu, _ in patch.labelled_points()]
+        weights = [(multinomial(degree, nu, mu), nu, mu, lam) for nu, mu, lam in labels]
+        power = [[k**e for e in range(degree + 1)] for k in range(g + 1)]
+        # Rows by the first barycentric weight r/g; row r has g + 1 - r points.
+        table = (
+            [w * power[r][nu] * power[c][mu] * power[g - r - c][lam] for w, nu, mu, lam in weights]
+            for r in range(g + 1)
+            for c in range(g + 1 - r)
+        )
+        points = _combine(table, nums)
+    dx, dy, dz = (g**degree * d for d in dens)
+    return [f"v {_fmt(x, dx)} {_fmt(y, dy)} {_fmt(z, dz)}" for x, y, z in points]
+
+
+def _polyline(vertices: list[str], net: Sequence[Point3] | None) -> list[str]:
+    lines = ["g curve", *vertices]
+    lines.append("l " + " ".join(str(k + 1) for k in range(len(vertices))))
     if net:
-        base = len(points)
+        base = len(vertices)
         lines.append("g control-net")
         lines += [_vertex(p) for p in net]
         lines.append("l " + " ".join(str(base + k + 1) for k in range(len(net))))
     return lines
 
 
-def _quad_grid(grid: list[list[Point3]], net: Sequence[Sequence[Point3]] | None) -> list[str]:
-    rows = len(grid)
-    cols = len(grid[0])
-    lines = ["g patch"]
-    for row in grid:
-        lines += [_vertex(p) for p in row]
-    vid = lambda r, c: r * cols + c + 1
-    for r in range(rows - 1):
-        for c in range(cols - 1):
+def _quad_grid(
+    vertices: list[str], samples: int, net: Sequence[Sequence[Point3]] | None
+) -> list[str]:
+    lines = ["g patch", *vertices]
+    vid = lambda r, c: r * samples + c + 1
+    for r in range(samples - 1):
+        for c in range(samples - 1):
             lines.append(f"f {vid(r, c)} {vid(r + 1, c)} {vid(r + 1, c + 1)} {vid(r, c + 1)}")
     if net:
-        base = rows * cols
+        base = samples * samples
         net_cols = len(net[0])
         lines.append("g control-net")
         for row in net:
@@ -83,27 +132,21 @@ def _triangle_id(base: int, size: int, r: int, c: int) -> int:
     return base + r * size - r * (r - 1) // 2 + c + 1
 
 
-def _triangle_grid(patch: TrianglePatch, samples: int, with_net: bool) -> list[str]:
-    lines = ["g patch"]
-    # Rows by the first barycentric weight; row r has samples - r points.
-    for r in range(samples):
-        u = Fraction(r, samples - 1)
-        for c in range(samples - r):
-            v = Fraction(c, samples - 1)
-            lines.append(_vertex(evaluate(patch, u, v)))
+def _triangle_grid(vertices: list[str], samples: int, net: TrianglePatch | None) -> list[str]:
+    lines = ["g patch", *vertices]
     vid = lambda r, c: _triangle_id(0, samples, r, c)
     for r in range(samples - 1):
         for c in range(samples - 1 - r):
             lines.append(f"f {vid(r, c)} {vid(r + 1, c)} {vid(r, c + 1)}")
             if c + 1 < samples - 1 - r:
                 lines.append(f"f {vid(r + 1, c)} {vid(r + 1, c + 1)} {vid(r, c + 1)}")
-    if with_net:
+    if net:
         lines.append("g control-net")
-        lines += [_vertex(p) for _, _, p in patch.labelled_points()]
+        lines += [_vertex(p) for _, _, p in net.labelled_points()]
         base = samples * (samples + 1) // 2
-        nid = lambda nu, mu: _triangle_id(base, patch.degree + 1, nu, mu)
-        for nu, mu, _ in patch.labelled_points():
-            if nu + mu < patch.degree:
+        nid = lambda nu, mu: _triangle_id(base, net.degree + 1, nu, mu)
+        for nu, mu, _ in net.labelled_points():
+            if nu + mu < net.degree:
                 lines.append(f"l {nid(nu, mu)} {nid(nu + 1, mu)}")
                 lines.append(f"l {nid(nu, mu)} {nid(nu, mu + 1)}")
                 lines.append(f"l {nid(nu + 1, mu)} {nid(nu, mu + 1)}")
@@ -128,13 +171,13 @@ def mesh_document(obj: Meshable, samples: int, with_net: bool = False) -> str:
             f"{samples} samples per edge give {vertices} mesh vertices, "
             f"over the budget of {MESH_VERTEX_BUDGET}"
         )
-    ts = _params(samples)
+    vertex_lines = _vertex_lines(obj, samples)
     # Monomial documents have no control net.
     net = getattr(obj, "control_points", None) if with_net else None
     if curve:
-        lines = _polyline([evaluate(obj, t) for t in ts], net)
+        lines = _polyline(vertex_lines, net)
     elif triangle:
-        lines = _triangle_grid(obj, samples, with_net)
+        lines = _triangle_grid(vertex_lines, samples, obj if with_net else None)
     else:
-        lines = _quad_grid([[evaluate(obj, u, v) for v in ts] for u in ts], net)
+        lines = _quad_grid(vertex_lines, samples, net)
     return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ from .geometry import (
     TensorPatch,
     TrianglePatch,
     ZERO3,
+    over_common_denominators,
 )
 
 
@@ -117,12 +118,6 @@ def iter_placements(
                     yield i_alpha, i_beta, i_gamma, j_alpha, j_beta, j - j_alpha - j_beta
 
 
-def _numerator(value: Fraction, q: int) -> int:
-    """Integer numerator of value over the denominator q, a multiple of
-    value's own denominator."""
-    return value.numerator * (q // value.denominator)
-
-
 def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> TrianglePatch:
     """Bernstein control points of the surface restricted to a triangle.
 
@@ -140,11 +135,7 @@ def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> Triangl
     """
     n, m = surface.degrees
     n_total = n + m
-    vertices = (tri.va, tri.vb, tri.vc)
-    q1 = lcm(*(v.s.denominator for v in vertices))
-    q2 = lcm(*(v.t.denominator for v in vertices))
-    a1, b1, c1 = (_numerator(v.s, q1) for v in vertices)
-    a2, b2, c2 = (_numerator(v.t, q2) for v in vertices)
+    ((a1, a2), (b1, b2), (c1, c2)), (q1, q2) = over_common_denominators((tri.va, tri.vb, tri.vc))
     # Row r of a coordinate's table holds C(r, k) * x**k for k = 0..r.
     ta1, tb1, tc1, ta2, tb2, tc2 = (
         [[binomial(r, k) * x**k for k in range(r + 1)] for r in range(n_total + 1)]
@@ -155,11 +146,8 @@ def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> Triangl
     ]
     den = lcm(*(d for row in cell_den for d in row))
     scale = [[den // d for d in row] for row in cell_den]
-    points = [c.as_tuple() for row in surface.coeffs for c in row]
-    axis_den = [lcm(*(v.denominator for v in axis)) for axis in zip(*points)]
-    coeffs = [
-        [tuple(map(_numerator, c.as_tuple(), axis_den)) for c in row] for row in surface.coeffs
-    ]
+    points, axis_den = over_common_denominators([c for row in surface.coeffs for c in row])
+    coeffs = [points[i * (m + 1) : (i + 1) * (m + 1)] for i in range(n + 1)]
     rows = []
     for nu in range(n_total + 1):
         row = []

@@ -468,6 +468,16 @@ MESH_9_NET_SHA256 = {
     "tpb_unit_square.json": "044a4b1a89622a2b19d420d0c4ad1278bbb9de1c19a1394e078d29364549ec6e",
 }
 
+# mesh --samples 33, the density perfbench meshes at.
+MESH_33_SHA256 = {
+    "tb_unit_triangle.json": "7ea6cb9966c1f6b7d22ab839d4c0e4057d7b54f0704d80f17f2da25e72c35f49",
+    "tpb_unit_square.json": "455c9f9f4196d6a8894c5bcf550af6dae12c0f7b4c719f2aeba7dc3562480991",
+}
+MESH_33_NET_SHA256 = {
+    "tb_unit_triangle.json": "1b408b15c4c64b5ff75b762f767b74cec1050ecd0d4714dcda5d2f423ebd75c3",
+    "tpb_unit_square.json": "e635a8f6332719459dcbf902494deb000e5dd933b8633e3943782add7309de1d",
+}
+
 
 class TestMeshGolden:
     """Exact OBJ bytes for every fixture document."""
@@ -482,6 +492,16 @@ class TestMeshGolden:
     )
     def test_obj_bytes(self, name, flags, digest, capsys):
         code, out, err = run(["mesh", "-i", str(DATA / name), "--samples", "9", *flags], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name,flags,digest",
+        [(n, [], d) for n, d in MESH_33_SHA256.items()]
+        + [(n, ["--with-net"], d) for n, d in MESH_33_NET_SHA256.items()],
+    )
+    def test_obj_bytes_at_33_samples(self, name, flags, digest, capsys):
+        code, out, err = run(["mesh", "-i", str(DATA / name), "--samples", "33", *flags], capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -591,6 +611,28 @@ class TestBoundary:
         err = self._run_document(["mesh", "--samples", "2"], doc, capsys, tmp_path)
         assert "float" in err
 
+    @pytest.mark.parametrize(
+        "name,path",
+        [
+            ("bezier_cubic.json", [-1]),
+            ("tpb_unit_square.json", [-1, -1]),
+            ("tb_unit_triangle.json", [-1, "point"]),
+        ],
+    )
+    def test_patch_coordinate_beyond_float_range_exits_2(self, name, path, capsys, tmp_path):
+        doc = json.loads((DATA / name).read_text())
+        point = doc["control_points"]
+        for key in path:
+            point = point[key]
+        point[1] = "-1" + "0" * 400 + "/3"
+        err = self._run_document(["mesh", "--samples", "5", "--with-net"], doc, capsys, tmp_path)
+        assert "beyond the range of a float" in err
+
+    def test_json_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        doc = '{"kind": "curve", "degree": [%s], "coeffs": [["1", "0", "0"]]}' % ("1" * 5000)
+        err = self._run_document(["eval", "-u", "1"], doc, capsys, tmp_path)
+        assert err.startswith("error: rational too long:") and "sys." not in err
+
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
         self._run_document(["mesh"], "[" * 200_000, capsys, tmp_path)
 
@@ -640,13 +682,13 @@ class TestBoundary:
         ],
     )
     def test_mesh_vertex_budget(self, name, samples, allowed, capsys, monkeypatch):
-        """Over MESH_VERTEX_BUDGET sampled vertices is refused before the
-        sample parameters are even built; at the budget, meshing starts."""
+        """Over MESH_VERTEX_BUDGET sampled vertices is refused before any
+        vertex is evaluated; at the budget, meshing starts."""
 
-        def started(samples):
+        def started(obj, samples):
             raise ValueError("meshing started")
 
-        monkeypatch.setattr("blossom_subdiv.objmesh._params", started)
+        monkeypatch.setattr("blossom_subdiv.objmesh._vertex_lines", started)
         code, out, err = run(["mesh", "-i", str(DATA / name), "-g", str(samples)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1

@@ -1,14 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blossom_subdiv import (
+    BezierCurve,
+    Point3,
+    TensorPatch,
+    TrianglePatch,
     eval_monomial_surface,
     subdivide_curve,
     subdivide_tensor,
     subdivide_triangle,
 )
-from blossom_subdiv.geometry import ParamInterval
+from blossom_subdiv.geometry import ParamInterval, evaluate
 from blossom_subdiv.objmesh import mesh_document
 
 import golden
@@ -121,3 +127,52 @@ class TestMeshValidation:
         # t = 1/3 evaluates to x = 28/27; float round-trip must be exact.
         line = [l for l in text.splitlines() if l.startswith("v ")][1]
         assert float(line.split()[1]) == float(Fraction(28, 27))
+
+
+# Coordinates of the two heights perfbench draws: |p|, q <= 9, and |p|, q
+# in [2^31, 2^32); zero is drawn on its own so that it comes up often.
+H9 = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_H32_INT = st.integers(2**31, 2**32 - 1)
+H32 = st.builds(lambda p, q, s: Fraction(s * p, q), _H32_INT, _H32_INT, st.sampled_from([1, -1]))
+
+
+@st.composite
+def bernstein_objects(draw):
+    """A BezierCurve, TensorPatch or TrianglePatch of degrees 0-5, with
+    coordinates of one height."""
+    coord = st.one_of(st.just(Fraction(0)), draw(st.sampled_from([H9, H32])))
+    point = st.builds(Point3, coord, coord, coord)
+    points = lambda k: st.lists(point, min_size=k, max_size=k)
+    kind = draw(st.sampled_from(["curve", "tensor", "triangle"]))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if kind == "curve":
+        return BezierCurve(draw(points(n + 1)), ParamInterval(0, 1))
+    if kind == "tensor":
+        return TensorPatch([draw(points(m + 1)) for _ in range(n + 1)], golden.UNIT_SQUARE)
+    return TrianglePatch([draw(points(n - nu + 1)) for nu in range(n + 1)], golden.UNIT_TRIANGLE)
+
+
+def reference_vertices(obj, samples, with_net):
+    """The vertex lines of a mesh, each point evaluated exactly on its own
+    (de Casteljau) and rounded by float()."""
+    line = lambda p: "v " + " ".join(format(float(v), ".17g") for v in p.as_tuple())
+    ts = [Fraction(k, samples - 1) for k in range(samples)]
+    if isinstance(obj, BezierCurve):
+        out = [line(evaluate(obj, t)) for t in ts]
+        net = obj.control_points
+    elif isinstance(obj, TensorPatch):
+        out = [line(evaluate(obj, u, v)) for u in ts for v in ts]
+        net = [p for row in obj.control_points for p in row]
+    else:
+        out = [line(evaluate(obj, u, v)) for i, u in enumerate(ts) for v in ts[: samples - i]]
+        net = [p for _, _, p in obj.labelled_points()]
+    return out + [line(p) for p in net] if with_net else out
+
+
+class TestMeshMatchesEvaluation:
+    @settings(max_examples=150)
+    @given(bernstein_objects(), st.integers(2, 17), st.booleans())
+    def test_vertices_are_rounded_exact_evaluations(self, obj, samples, with_net):
+        text = mesh_document(obj, samples, with_net)
+        got = [line for line in text.splitlines() if line.startswith("v ")]
+        assert got == reference_vertices(obj, samples, with_net)
