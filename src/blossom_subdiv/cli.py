@@ -58,7 +58,7 @@ def _error(message: str) -> None:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(_path(path), "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -66,7 +66,7 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(_path(path), "w", encoding="utf-8", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -164,11 +164,23 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every argument that starts with "-" and a digit, such as
+    -1/2,0 or -1in.json, as a value: no option of this program starts that way.
+    argparse 3.10-3.13 reads _negative_number_matcher in _parse_optional
+    (checked in the 3.10.13, 3.11.7, 3.12.1 and 3.13.0 sources), and
+    add_subparsers builds every subcommand's parser from this class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing leaves no state in it, so
     repeated main() calls share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Exact subdivision of polynomial curves and surfaces into Bernstein form.",
     )
@@ -237,38 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _looks_negative(arg: str) -> bool:
-    bare = arg.lstrip(" ")
-    return bare[:1] == "-" and bare[1:2].isdigit()
-
-
-# An argument split as argparse splits it: --name=value, -ovalue, -o=value.
-_OPTION_VALUE = re.compile(r"(--[^=]*=|-[A-Za-z]=?|)(.*)", re.DOTALL)
-
-
-def _shield_negative_values(argv: list[str]) -> list[str]:
-    """argparse takes any argument that starts with "-" and is not a plain
-    number, such as the vertex -1/2,0, for an option. No option of this
-    program starts with "-" and a digit, so each value that does, whole or
-    after its option, gets one more leading space, which keeps it a value.
-    parse_rational strips it and _path removes it: paths stay as typed."""
-    shielded = []
-    for arg in argv:
-        option, value = _OPTION_VALUE.fullmatch(arg).groups()
-        shielded.append(option + (" " + value if _looks_negative(value) else value))
-    return shielded
-
-
-def _path(raw: str) -> str:
-    """A path option's value without the space _shield_negative_values put
-    in front of it."""
-    return raw[1:] if _looks_negative(raw) else raw
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_shield_negative_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

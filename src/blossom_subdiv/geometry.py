@@ -56,6 +56,16 @@ class _Value:
         return (type(self), self._astuple())
 
 
+def _grid(rows, owner: str, part: str) -> tuple[tuple, ...]:
+    """rows as a tuple of row tuples, refused unless non-empty and rectangular."""
+    rows = tuple(tuple(row) for row in rows)
+    if not rows or not rows[0]:
+        raise ValueError(f"{owner} needs a non-empty {part} grid")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"{owner} {part} grid must be rectangular")
+    return rows
+
+
 class Point3(_Value):
     """Point or coefficient in R^3. Scalar-valued data uses y = z = 0."""
 
@@ -176,13 +186,7 @@ class MonomialSurface(_Value):
     __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[tuple[Point3, ...], ...]):
-        rows = tuple(tuple(row) for row in coeffs)
-        _set(self, "coeffs", rows)
-        if not rows or not rows[0]:
-            raise ValueError("surface needs a non-empty coefficient grid")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("surface coefficient grid must be rectangular")
+        _set(self, "coeffs", _grid(coeffs, "surface", "coefficient"))
 
     @property
     def degrees(self) -> tuple[int, int]:
@@ -212,14 +216,8 @@ class TensorPatch(_Value):
     __slots__ = __match_args__ = ("control_points", "domain")
 
     def __init__(self, control_points: tuple[tuple[Point3, ...], ...], domain: ParamRect):
-        rows = tuple(tuple(row) for row in control_points)
-        _set(self, "control_points", rows)
+        _set(self, "control_points", _grid(control_points, "tensor patch", "control"))
         _set(self, "domain", domain)
-        if not rows or not rows[0]:
-            raise ValueError("tensor patch needs a non-empty control grid")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("tensor patch control grid must be rectangular")
 
     @property
     def degrees(self) -> tuple[int, int]:

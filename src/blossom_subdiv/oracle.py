@@ -28,7 +28,6 @@ from .geometry import MonomialCurve, MonomialSurface, ParamRect, Point2, Point3,
 # Blossom argument bundles. Lengths must match the polynomial's degree(s);
 # the evaluation functions enforce that.
 CurveBlossomArgs = Sequence[Rational]
-TensorBlossomArgs = tuple[Sequence[Rational], Sequence[Rational]]
 TriangleBlossomArgs = Sequence[Point2]
 
 

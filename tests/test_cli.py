@@ -185,9 +185,10 @@ class TestSubdivideTb:
 
     def test_negative_first_vertex_coordinate(self, capsys):
         argv = ["subdivide-tb", "-i", str(DATA / "surface_3x2.json"), "--vertices"]
-        code, out, err = run(argv + ["-1/2,0", "1,0", "0,1"], capsys)
-        assert (code, err) == (0, "")
-        assert run(argv + [" -1/2,0", "1,0", "0,1"], capsys) == (0, out, "")
+        for vertices in (["-1/2,0", "1,0", "0,1"], ["0,0", "-1,0", "0,-1"]):
+            code, out, err = run(argv + vertices, capsys)
+            assert (code, err) == (0, "")
+            assert run(argv + [" " + v for v in vertices], capsys) == (0, out, "")
 
     def test_bad_vertex_format_exits_2(self, capsys):
         code, _, _ = run(
@@ -792,33 +793,43 @@ class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("argv", [["-1"], ["-1", "eval"]], ids=["alone", "before-command"])
+    def test_negative_command_is_named_as_typed(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: '-1'" in err
+
     @pytest.mark.parametrize(
-        "argv,flag,value",
+        "argv,values",
         [
-            (["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-b", "1/2"], "-a", "-1/2"),
+            (
+                ["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-b", "1/2"],
+                [("-a", "-1/2")],
+            ),
             (
                 ["subdivide-tpb", "-i", str(DATA / "surface_3x2.json"), "-a", "0", "-b", "1"]
                 + ["-d", "1/2"],
-                "-c",
-                "-1/3",
+                [("-c", "-1/3")],
             ),
+            (["eval", "-i", str(DATA / "tpb_unit_square.json")], [("-u", "-1/3"), ("-v", "-2/5")]),
         ],
-        ids=["curve", "tpb"],
+        ids=["curve", "tpb", "eval"],
     )
-    def test_negative_value_after_its_flag(self, argv, flag, value, capsys):
+    def test_negative_value_after_its_flag(self, argv, values, capsys):
         """`-a -1/2` gives the bytes of `-a=-1/2`."""
-        spaced = run(argv + [flag, value], capsys)
+        spaced = run(argv + [arg for pair in values for arg in pair], capsys)
         assert spaced[0] == 0
-        assert spaced == run(argv + [f"{flag}={value}"], capsys)
+        assert spaced == run(argv + [f"{flag}={value}" for flag, value in values], capsys)
 
 
     def test_input_path_starting_with_dash_and_digit(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "-1in.json").write_text((DATA / "curve_cubic.json").read_text())
         argv = ["subdivide-curve", "-a", "0", "-b", "1"]
-        code, out, err = run(argv + ["-i", "-1in.json"], capsys)
-        assert (code, err) == (0, "")
-        assert out == run(argv + ["-i", str(DATA / "curve_cubic.json")], capsys)[1]
+        expected = run(argv + ["-i", str(DATA / "curve_cubic.json")], capsys)
+        assert (expected[0], expected[2]) == (0, "")
+        for form in (["-i", "-1in.json"], ["-i=-1in.json"], ["-i-1in.json"]):
+            assert run(argv + form, capsys) == expected
 
     @pytest.mark.parametrize(
         "argv,path",
@@ -831,11 +842,15 @@ class TestUsage:
             (MESH + ["-o= -7.obj"], " -7.obj"),
             (MESH + ["-o -8.obj"], " -8.obj"),
             (MESH + ["--output= -9.obj"], " -9.obj"),
+            (MESH + ["-o-2out.json"], "-2out.json"),
+            (MESH + ["-o=-2out.json"], "-2out.json"),
+            (MESH + ["--output=-2out.json"], "-2out.json"),
         ],
         ids=[
             "subdivide-curve", "mesh", "mesh-leading-space", "bench",
             "mesh-equals-leading-space", "mesh-attached-leading-space",
-            "mesh-long-equals-leading-space",
+            "mesh-long-equals-leading-space", "mesh-attached", "mesh-equals",
+            "mesh-long-equals",
         ],
     )
     def test_output_path_starting_with_dash_and_digit(

@@ -173,8 +173,25 @@ class TestBarycentric:
 
 class TestTypeInvariants:
     def test_surface_grid_must_be_rectangular(self):
-        with pytest.raises(ValueError):
-            MonomialSurface(((Point3(0, 0, 0),), (Point3(0, 0, 0), Point3(1, 1, 1))))
+        """Monomial surfaces and tensor patches refuse the same grids, each
+        in its own words."""
+        p = Point3(0, 0, 0)
+        rect = ParamRect(ParamInterval(0, 1), ParamInterval(0, 1))
+        for make, empty, ragged in (
+            (
+                MonomialSurface,
+                "surface needs a non-empty coefficient grid",
+                "surface coefficient grid must be rectangular",
+            ),
+            (
+                lambda grid: TensorPatch(grid, rect),
+                "tensor patch needs a non-empty control grid",
+                "tensor patch control grid must be rectangular",
+            ),
+        ):
+            for grid, message in (((), empty), (((),), empty), (((p,), (p, p)), ragged)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    make(grid)
 
     def test_triangle_patch_row_lengths(self):
         with pytest.raises(ValueError):
