@@ -1,14 +1,16 @@
-"""Benchmark harness: closed-form control points vs. blossom enumeration.
+"""Benchmark harness: the paper's closed forms vs. blossom enumeration.
 
 Wall time is reported for context, but the durable signal is the term
 count: the number of summands a formula evaluates, which exposes the
 asymptotic gap independent of machine speed. Every summand is evaluated
 whatever its value, so a cell's count depends on its degrees alone; it
-is derived from them, through the loop bounds the kernels themselves
-use, and only the kernel or oracle call is timed. The enumeration side
-prices the definitional formulas: per-subset products for curves,
-per-pair products of index subsets for tensor patches, and disjoint
-subset pairs for triangular patches.
+is derived from them, through the loop bounds the closed forms
+themselves use, and only the closed-form or oracle call is timed. The
+closed-form side prices the paper's formulas: the curve and tensor
+kernels, and for triangles the four-fold sum, which the triangle kernel
+no longer runs. The enumeration side prices the definitional formulas:
+per-subset products for curves, per-pair products of index subsets for
+tensor patches, and disjoint subset pairs for triangular patches.
 """
 
 from __future__ import annotations
@@ -22,10 +24,22 @@ from .numerics import ORACLE_DEGREE_CAP, multinomial
 from .geometry import MonomialCurve, MonomialSurface
 from .oracle import blossom_net
 from .sampling import random_interval, random_point3, random_rect, random_triangle
-from .subdivision import _split_range, iter_placements, subdivide
+from .subdivision import (
+    _split_range,
+    _subdivide_triangle_four_fold,
+    iter_placements,
+    subdivide_curve,
+    subdivide_tensor,
+)
 
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
+# The closed form of each shape, the function whose summands _cell_counts counts.
+_CLOSED_FORMS = {
+    "curve": subdivide_curve,
+    "tpb": subdivide_tensor,
+    "tb": _subdivide_triangle_four_fold,
+}
 
 
 class BenchRecord(NamedTuple):
@@ -132,7 +146,7 @@ def run_benchmark(
                         f"{oracle_degree_cap} (enumeration cost is combinatorial)"
                     )
                     continue
-                runner = subdivide if method == "closed-form" else _run_oracle
+                runner = _CLOSED_FORMS[shape] if method == "closed-form" else _run_oracle
                 count, terms = _cell_counts(shape, method, degree)
                 for repetition in range(repeat):
                     start = time.perf_counter_ns()

@@ -8,7 +8,8 @@ paths that must agree bit-for-bit on exact rationals.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .numerics import (
     RATIONAL_ONE,
@@ -352,6 +353,13 @@ def over_common_denominators(points: Sequence[_Value]) -> tuple[list[tuple], lis
     dens = [lcm(*(v.denominator for v in axis)) for axis in zip(*coords)]
     nums = [tuple([v.numerator * (q // v.denominator) for v, q in zip(c, dens)]) for c in coords]
     return nums, dens
+
+
+def combine_points(table: Iterable[Sequence[int]], points: Sequence[tuple]) -> list[tuple]:
+    """The integer point sum(row[k] * points[k]) of each table row, for
+    points as over_common_denominators gives them."""
+    axes = list(zip(*points))
+    return [tuple([sum(map(mul, row, axis)) for axis in axes]) for row in table]
 
 
 # Each kind's parameter count and evaluator.

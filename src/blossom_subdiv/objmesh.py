@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .geometry import (
     BezierCurve,
@@ -23,6 +22,7 @@ from .geometry import (
     Point3,
     TensorPatch,
     TrianglePatch,
+    combine_points,
     evaluate,
     over_common_denominators,
 )
@@ -48,12 +48,6 @@ def _bernstein_table(n: int, g: int) -> list[list[int]]:
     return [[comb(n, i) * k**i * (g - k) ** (n - i) for i in range(n + 1)] for k in range(g + 1)]
 
 
-def _combine(table: Iterable[Sequence[int]], points: Sequence[tuple]) -> list[tuple]:
-    """The integer point sum(row[k] * points[k]) of each table row."""
-    axes = list(zip(*points))
-    return [tuple([sum(map(mul, row, axis)) for axis in axes]) for row in table]
-
-
 def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
     """Vertex lines at the parameters k/(samples - 1), in the order the
     polyline, quad grid or triangle grid numbers them."""
@@ -66,15 +60,15 @@ def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
     if isinstance(patch, BezierCurve):
         degree = patch.degree
         nums, dens = over_common_denominators(patch.control_points)
-        points = _combine(_bernstein_table(degree, g), nums)
+        points = combine_points(_bernstein_table(degree, g), nums)
     elif isinstance(patch, TensorPatch):
         n, m = patch.degrees
         degree = n + m
         nums, dens = over_common_denominators([p for row in patch.control_points for p in row])
         # v for each control row, then u for each sampled v.
         table_v, table_u = _bernstein_table(m, g), _bernstein_table(n, g)
-        rows = [_combine(table_v, nums[i * (m + 1) : (i + 1) * (m + 1)]) for i in range(n + 1)]
-        columns = [_combine(table_u, column) for column in zip(*rows)]
+        rows = [combine_points(table_v, nums[i * (m + 1) : (i + 1) * (m + 1)]) for i in range(n + 1)]
+        columns = [combine_points(table_u, column) for column in zip(*rows)]
         points = [p for row in zip(*columns) for p in row]
     else:
         degree = patch.degree
@@ -88,7 +82,7 @@ def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
             for r in range(g + 1)
             for c in range(g + 1 - r)
         )
-        points = _combine(table, nums)
+        points = combine_points(table, nums)
     dx, dy, dz = (g**degree * d for d in dens)
     return [f"v {_fmt(x, dx)} {_fmt(y, dy)} {_fmt(z, dz)}" for x, y, z in points]
 

@@ -1,10 +1,19 @@
 """Closed-form subdivision control points.
 
 Each control point of the restricted curve/patch is the blossom of the
-monomial input at a fixed multiset of domain parameters; the functions
-here compute those values directly from the coefficients with nested
-bounded sums instead of enumerating index subsets. The blossom oracle
-module provides the independent cross-check.
+monomial input at a fixed multiset of domain parameters. The curve and
+tensor kernels compute those values directly from the coefficients with
+the paper's nested bounded sums instead of enumerating index subsets.
+
+The triangle kernel composes the surface with the domain's barycentric
+linear forms instead (DeRose, "Composing Bezier simplexes", ACM TOG 1988;
+Farouki and Rajan, "Algorithms for polynomials in Bernstein form", CAGD
+1988): written homogeneously in the barycentric coordinates, the
+coefficient of each Bernstein monomial is the control point times its
+multinomial. The paper's four-fold sum for the triangle stays here as
+_subdivide_triangle_four_fold, the reference that bench prices and the
+tests compare against. The blossom oracle module provides the independent
+cross-check of both.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .geometry import (
     TensorPatch,
     TrianglePatch,
     ZERO3,
+    combine_points,
     over_common_denominators,
 )
 
@@ -118,13 +128,84 @@ def iter_placements(
                     yield i_alpha, i_beta, i_gamma, j_alpha, j_beta, j - j_alpha - j_beta
 
 
+def _times_linear(poly: list, x: int, y: int, z: int) -> list:
+    """poly * (x*alpha + y*beta + z*gamma). A homogeneous polynomial of
+    degree d in the barycentric coordinates is held as rows: poly[nu][mu]
+    is the coefficient of alpha**nu * beta**mu * gamma**(d - nu - mu)."""
+    d = len(poly)
+    out = [[0] * (d + 1 - nu) for nu in range(d + 1)]
+    for nu, row in enumerate(poly):
+        above, here = out[nu + 1], out[nu]
+        for mu, c in enumerate(row):
+            above[mu] += x * c
+            here[mu + 1] += y * c
+            here[mu] += z * c
+    return out
+
+
+def _linear_powers(n: int, x: int, y: int, z: int, q: int) -> list:
+    """[L**i * (q*E)**(n - i) for i in 0..n], where L = x*alpha + y*beta +
+    z*gamma and E = alpha + beta + gamma: the monomials of one parameter,
+    q times it at the barycentric point, made homogeneous of degree n."""
+    powers = [[[1]]]
+    for _ in range(n):
+        powers = [_times_linear(p, q, q, q) for p in powers] + [_times_linear(powers[-1], x, y, z)]
+    return powers
+
+
 def subdivide_triangle(surface: MonomialSurface, tri: DomainTriangle) -> TrianglePatch:
     """Bernstein control points of the surface restricted to a triangle.
 
     The patch has total degree N = n + m. Point (nu, mu) is the blossom at
-    nu copies of vertex va, mu of vb, and N - nu - mu of vc; each monomial
-    coefficient contributes a four-fold sum over the per-zone index counts
-    produced by iter_placements.
+    nu copies of vertex va, mu of vb, and N - nu - mu of vc; it is found by
+    composition with the triangle's barycentric linear forms (DeRose 1988;
+    Farouki and Rajan 1988), in integers.
+
+    The first vertex coordinates share the denominator q1 and the second
+    q2. At the barycentric point (alpha, beta, gamma) the parameters are
+    S / q1 and T / q2, where S = a1*alpha + b1*beta + c1*gamma and T is
+    the same with the second coordinates. With E = alpha + beta + gamma,
+    q1**n * q2**m times the surface is the form of degree N
+    sum_i S**i (q1 E)**(n - i) * sum_j c_ij T**j (q2 E)**(m - j),
+    and its alpha**nu beta**mu gamma**(N - nu - mu) coefficient is
+    multinomial(N, nu, mu) times that multiple of point (nu, mu). Each
+    coefficient axis is put over its own common denominator, so the form
+    is summed in integers, and each output coordinate is one
+    Fraction(total, multinomial(N, nu, mu) * q1**n * q2**m * q_axis).
+    """
+    n, m = surface.degrees
+    n_total = n + m
+    ((a1, a2), (b1, b2), (c1, c2)), (q1, q2) = over_common_denominators((tri.va, tri.vb, tri.vc))
+    # Row (nu, mu): the alpha**nu beta**mu coefficient of each T**j (q2 E)**(m - j).
+    t_powers = _linear_powers(m, a2, b2, c2, q2)
+    t_cells = [(nu, mu) for nu in range(m + 1) for mu in range(m + 1 - nu)]
+    t_table = [[p[nu][mu] for p in t_powers] for nu, mu in t_cells]
+    points, axis_den = over_common_denominators([c for row in surface.coeffs for c in row])
+    totals = [[[0, 0, 0] for _ in range(n_total + 1 - nu)] for nu in range(n_total + 1)]
+    for i, s_power in enumerate(_linear_powers(n, a1, b1, c1, q1)):
+        # sum_j c_ij T**j (q2 E)**(m - j), one integer point per cell.
+        inner = list(zip(t_cells, combine_points(t_table, points[i * (m + 1) : (i + 1) * (m + 1)])))
+        for nu_s, s_row in enumerate(s_power):
+            for mu_s, s in enumerate(s_row):
+                for (nu, mu), (x, y, z) in inner:
+                    total = totals[nu_s + nu][mu_s + mu]
+                    total[0] += s * x
+                    total[1] += s * y
+                    total[2] += s * z
+    den = q1**n * q2**m
+    for nu, row in enumerate(totals):
+        for mu, total in enumerate(row):
+            scale = multinomial(n_total, nu, mu) * den
+            row[mu] = Point3(*(Fraction(t, scale * q) for t, q in zip(total, axis_den)))
+    return TrianglePatch(totals, tri)
+
+
+def _subdivide_triangle_four_fold(surface: MonomialSurface, tri: DomainTriangle) -> TrianglePatch:
+    """subdivide_triangle by the paper's closed form: point (nu, mu) is the
+    blossom at nu copies of va, mu of vb and N - nu - mu of vc, and each
+    monomial coefficient contributes a four-fold sum over the per-zone
+    index counts produced by iter_placements. No command runs it; bench
+    prices it and the tests hold subdivide_triangle to it.
 
     The sum runs in integers: the first vertex coordinates share the
     denominator q1 and the second q2, so every summand of cell (i, j) lies

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blossom_subdiv import (
@@ -44,7 +44,7 @@ from blossom_subdiv.sampling import (
     random_surface,
     random_triangle,
 )
-from blossom_subdiv.subdivision import subdivide
+from blossom_subdiv.subdivision import _subdivide_triangle_four_fold, subdivide
 
 import golden
 
@@ -357,10 +357,11 @@ points3 = st.builds(Point3, coordinates, coordinates, coordinates)
 
 
 @st.composite
-def triangle_instances(draw):
-    """A surface of degree at most (2, 2), optionally with its x axis all
-    zero, and a triangle that may repeat a vertex or be collinear."""
-    n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+def triangle_instances(draw, max_degree=2):
+    """A surface of degree at most max_degree in each direction,
+    optionally with its x axis all zero, and a triangle that may repeat a
+    vertex or be collinear."""
+    n, m = draw(st.integers(0, max_degree)), draw(st.integers(0, max_degree))
     coeffs = [[draw(points3) for _ in range(m + 1)] for _ in range(n + 1)]
     if draw(st.booleans()):
         coeffs = [[Point3(0, c.y, c.z) for c in row] for row in coeffs]
@@ -373,16 +374,53 @@ def triangle_instances(draw):
     return MonomialSurface(tuple(map(tuple, coeffs))), DomainTriangle(va, vb, vc)
 
 
+# The composition kernel and the paper's four-fold sum: every oracle check
+# of the triangle runs against both.
+TRIANGLE_KERNELS = (subdivide_triangle, _subdivide_triangle_four_fold)
+
+
+def h32_surface(n, m):
+    """A degree-(n, m) surface with coordinates over the primes 2**31 - 1
+    and 2**31 - 19 and an all-zero z axis."""
+    return MonomialSurface(
+        tuple(
+            tuple(
+                Point3(Fraction(3**i - 2**j, 2**31 - 1), Fraction(2**32 - i * j, 2**31 - 19), 0)
+                for j in range(m + 1)
+            )
+            for i in range(n + 1)
+        )
+    )
+
+
+H32_TRIANGLE = DomainTriangle(
+    Point2(Fraction(2**32 - 5, 2**31 - 1), Fraction(-3, 7)),
+    Point2(Fraction(-1, 2**31 - 19), Fraction(2**31, 2**31 - 1)),
+    Point2(Fraction(5, 3), Fraction(-(2**32), 2**31 - 19)),
+)
+
+
 class TestSubdivideTriangle:
     @given(triangle_instances())
     @example((MonomialSurface(((Point3(3, -1, 0),),)), golden.UNIT_TRIANGLE))
     @example((golden.SAMPLE_SURFACE, DomainTriangle(Point2(0, 0), Point2(0, 0), Point2(0, 0))))
     def test_matches_oracle_property(self, instance):
         surface, tri = instance
-        patch = subdivide_triangle(surface, tri)
-        for nu, mu, got in patch.labelled_points():
-            args = [tri.va] * nu + [tri.vb] * mu + [tri.vc] * (patch.degree - nu - mu)
-            assert got == blossom_triangle(surface, args)
+        for kernel in TRIANGLE_KERNELS:
+            patch = kernel(surface, tri)
+            for nu, mu, got in patch.labelled_points():
+                args = [tri.va] * nu + [tri.vb] * mu + [tri.vc] * (patch.degree - nu - mu)
+                assert got == blossom_triangle(surface, args), kernel.__name__
+
+    @settings(max_examples=40)
+    @given(triangle_instances(max_degree=8))
+    @example((h32_surface(0, 8), H32_TRIANGLE))
+    @example((h32_surface(8, 0), H32_TRIANGLE))
+    def test_composition_equals_four_fold_sum(self, instance):
+        # Degrees up to 8 in each direction, above the oracle's cap, so
+        # here the four-fold sum is the reference.
+        surface, tri = instance
+        assert subdivide_triangle(surface, tri) == _subdivide_triangle_four_fold(surface, tri)
 
     def test_unit_triangle_corners(self):
         patch = subdivide_triangle(golden.SAMPLE_SURFACE, golden.UNIT_TRIANGLE)
@@ -429,12 +467,12 @@ class TestSubdivideTriangle:
         for _ in range(20):
             surface = random_surface(rng, 2, 2)
             tri = random_triangle(rng)
-            patch = subdivide_triangle(surface, tri)
             n, m = surface.degrees
             n_total = n + m
-            for nu, mu, got in patch.labelled_points():
-                args = [tri.va] * nu + [tri.vb] * mu + [tri.vc] * (n_total - nu - mu)
-                assert got == blossom_triangle(surface, args)
+            for kernel in TRIANGLE_KERNELS:
+                for nu, mu, got in kernel(surface, tri).labelled_points():
+                    args = [tri.va] * nu + [tri.vb] * mu + [tri.vc] * (n_total - nu - mu)
+                    assert got == blossom_triangle(surface, args), kernel.__name__
 
     def test_geometric_consistency_barycentric_samples(self):
         rng = random.Random(322)
