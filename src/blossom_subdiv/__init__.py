@@ -20,37 +20,34 @@ from .geometry import (
     eval_monomial_curve,
     eval_monomial_surface,
 )
-from .subdivision import (
-    iter_placements,
-    placement_count_u_first,
-    placement_count_v_first,
-    subdivide_curve,
-    subdivide_tensor,
-    subdivide_triangle,
-)
+from .subdivision import subdivide_curve, subdivide_tensor, subdivide_triangle
 
-# The brute-force oracle loads on first use (PEP 562), so a CLI process
-# that subdivides, evaluates or meshes never compiles it.
-_ORACLE_NAMES = (
-    "blossom_curve",
-    "blossom_tensor",
-    "blossom_triangle",
-    "monomial_blossom_curve",
-    "monomial_blossom_tensor",
-    "monomial_blossom_triangle",
-)
+# The brute-force oracle and the paper's triangle reference load on first
+# use (PEP 562), so a CLI process that subdivides, evaluates or meshes
+# compiles neither. Each lazy name maps to the module that defines it.
+_LAZY = {
+    "blossom_curve": "oracle",
+    "blossom_tensor": "oracle",
+    "blossom_triangle": "oracle",
+    "monomial_blossom_curve": "oracle",
+    "monomial_blossom_tensor": "oracle",
+    "monomial_blossom_triangle": "oracle",
+    "iter_placements": "reference",
+    "placement_count_u_first": "reference",
+    "placement_count_v_first": "reference",
+}
 
 
 def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import oracle
+    from importlib import import_module
 
-    return getattr(oracle, name)
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_ORACLE_NAMES})
+    return sorted({*globals(), *_LAZY})
 
 
 __version__ = "0.1.0"

@@ -7,10 +7,11 @@ whatever its value, so a cell's count depends on its degrees alone; it
 is derived from them, through the loop bounds the closed forms
 themselves use, and only the closed-form or oracle call is timed. The
 closed-form side prices the paper's formulas: the curve and tensor
-kernels, and for triangles the four-fold sum, which the triangle kernel
-no longer runs. The enumeration side prices the definitional formulas:
-per-subset products for curves, per-pair products of index subsets for
-tensor patches, and disjoint subset pairs for triangular patches.
+kernels, and for triangles the four-fold sum, which lives in the
+reference module because no other command runs it. The enumeration side
+prices the definitional formulas: per-subset products for curves,
+per-pair products of index subsets for tensor patches, and disjoint
+subset pairs for triangular patches.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ from .numerics import ORACLE_DEGREE_CAP, multinomial
 from .geometry import MonomialCurve, MonomialSurface
 from .oracle import blossom_net
 from .sampling import random_interval, random_point3, random_rect, random_triangle
-from .subdivision import (
-    _split_range,
-    _subdivide_triangle_four_fold,
-    iter_placements,
-    subdivide_curve,
-    subdivide_tensor,
-)
+from .reference import iter_placements, subdivide_triangle_four_fold
+from .subdivision import _split_range, subdivide_curve, subdivide_tensor
 
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
@@ -38,7 +34,7 @@ METHODS = ("closed-form", "oracle")
 _CLOSED_FORMS = {
     "curve": subdivide_curve,
     "tpb": subdivide_tensor,
-    "tb": _subdivide_triangle_four_fold,
+    "tb": subdivide_triangle_four_fold,
 }
 
 

@@ -31,7 +31,8 @@ from .objmesh import mesh_document
 from .subdivision import subdivide
 
 # verify and bench are imported by their own commands when they run, so
-# subdivide, eval and mesh never load the oracle, verify or bench code.
+# subdivide, eval and mesh never load the oracle, reference, verify or
+# bench code; a tracer finds subdivision and objmesh loaded with the CLI.
 
 PROG = "blossom-subdiv"
 
@@ -64,7 +65,9 @@ def _read_input(path: str) -> str:
 
 def _write_output(path: str, text: str) -> None:
     if path == "-":
+        # Flushed here, so a failed write is an error of this command.
         sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -263,7 +266,18 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # Output main does not flush (argparse's --help) fails here. The
+        # unwritable bytes stay buffered: point fd 1 at the null device,
+        # so the interpreter's last flush does not fail again.
+        if code == 0:
+            _error(str(exc))
+            code = 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

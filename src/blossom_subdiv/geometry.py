@@ -1,8 +1,9 @@
 """Monomial- and Bernstein-basis curve/surface types plus exact evaluators.
 
-Evaluation here (Horner, de Casteljau, direct Bernstein sums) is the
-geometric cross-check for the subdivision formulas: independent code
-paths that must agree bit-for-bit on exact rationals.
+Evaluation here (Horner, de Casteljau) is the geometric cross-check for
+the subdivision formulas: independent code paths that must agree
+bit-for-bit on exact rationals. The tests hold de Casteljau to direct
+Bernstein sums.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .numerics import (
     RATIONAL_ZERO,
     Rational,
     as_rational,
-    binomial,
-    multinomial,
 )
 
 _set = object.__setattr__
@@ -287,20 +286,6 @@ def eval_monomial_surface(surface: MonomialSurface, u: Rational, v: Rational) ->
     for value in reversed(rows[:-1]):
         acc = acc * u + value
     return acc
-
-
-def bernstein(n: int, k: int, t: Rational) -> Rational:
-    """Degree-n Bernstein basis value C(n,k) t^k (1-t)^(n-k), exact."""
-    t = as_rational(t)
-    return binomial(n, k) * t**k * (RATIONAL_ONE - t) ** (n - k)
-
-
-def triangle_bernstein(n_total: int, nu: int, mu: int, u: Rational, v: Rational) -> Rational:
-    """Bivariate Bernstein basis with barycentric weights (u, v, 1-u-v)."""
-    u = as_rational(u)
-    v = as_rational(v)
-    w = RATIONAL_ONE - u - v
-    return multinomial(n_total, nu, mu) * u**nu * v**mu * w ** (n_total - nu - mu)
 
 
 def de_casteljau_points(points: Sequence[Point3], t: Rational) -> Point3:

@@ -18,19 +18,33 @@ from blossom_subdiv import (
     TensorPatch,
     TrianglePatch,
     barycentric_to_cartesian,
+    binomial,
     de_casteljau_curve,
     de_casteljau_tensor,
     de_casteljau_triangle,
     eval_monomial_curve,
     eval_monomial_surface,
+    multinomial,
 )
-from blossom_subdiv.geometry import bernstein, triangle_bernstein
 
 import golden
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 points3 = st.builds(Point3, rationals, rationals, rationals)
 UNIT_INTERVAL = ParamInterval(0, 1)
+
+
+def bernstein(n, k, t):
+    """Degree-n Bernstein basis value C(n,k) t^k (1-t)^(n-k), exact."""
+    t = Fraction(t)
+    return binomial(n, k) * t**k * (1 - t) ** (n - k)
+
+
+def triangle_bernstein(n_total, nu, mu, u, v):
+    """Bivariate Bernstein basis with barycentric weights (u, v, 1-u-v)."""
+    u, v = Fraction(u), Fraction(v)
+    w = 1 - u - v
+    return multinomial(n_total, nu, mu) * u**nu * v**mu * w ** (n_total - nu - mu)
 
 
 def power_sum_curve(curve, u):

@@ -1,6 +1,7 @@
 """What one CLI process does: a fresh interpreter per command gives the
-same results as repeated in-process main() calls, and the commands that
-subdivide, evaluate or mesh load no oracle, verify or bench code."""
+same results as repeated in-process main() calls, the commands that
+subdivide, evaluate or mesh load no oracle, reference, verify or bench
+code, and a failed write to stdout keeps the exit-code contract."""
 
 import os
 import re
@@ -26,6 +27,7 @@ NOT_LOADED = (
     "blossom_subdiv.verify",
     "blossom_subdiv.bench",
     "blossom_subdiv.oracle",
+    "blossom_subdiv.reference",
     "blossom_subdiv.sampling",
 )
 
@@ -42,14 +44,17 @@ PUBLIC_NAMES = {
 }
 
 
-def fresh(args):
-    """Run python with args in a new interpreter that imports this checkout."""
+def fresh(args, stdout=subprocess.PIPE, unset=()):
+    """Run python with args in a new interpreter that imports this checkout,
+    with the environment variables named in unset removed."""
     env = dict(os.environ, NO_COLOR="1", COLUMNS="80")
+    for name in unset:
+        env.pop(name, None)
     paths = [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     env["PYTHONPATH"] = os.pathsep.join(paths)
     return subprocess.run(
         [sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
-        capture_output=True, text=True, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -118,6 +123,20 @@ def test_public_names_resolve():
         blossom_subdiv.no_such_name
 
 
+def test_package_import_defers_oracle_and_reference():
+    script = (
+        "import sys\nimport blossom_subdiv\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('blossom_subdiv')))\n"
+        "first = blossom_subdiv.iter_placements\n"
+        "print(first is blossom_subdiv.reference.iter_placements)"
+    )
+    done = fresh(["-c", script])
+    assert done.returncode == 0, done.stderr
+    loaded, same = done.stdout.splitlines()
+    assert {"blossom_subdiv.oracle", "blossom_subdiv.reference"} & set(loaded.split()) == set()
+    assert same == "True"
+
+
 def test_cli_import_loads_the_modules_its_hot_commands_call():
     """Importing the CLI loads subdivision and objmesh, so a tool that
     wraps their functions for a run (perfbench's tracer swaps the
@@ -158,3 +177,18 @@ def test_installed_script_target(argv, code, out):
     done = fresh(["-c", script, *argv])
     assert (done.returncode, done.stdout) == (code, out)
     assert done.stderr.startswith("usage:") if code else done.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["eval", "-i", CURVE, "-u", "1/2"], ["--help"]], ids=["eval", "help"]
+)
+def test_buffered_stdout_write_failure_exits_2_with_one_error_line(argv):
+    """With stdout buffered, as in a shell, a failed write is reported by
+    the command, not by the interpreter at shutdown."""
+    with open("/dev/full", "w") as full:
+        done = fresh(
+            ["-m", "blossom_subdiv.cli", *argv], stdout=full, unset=("PYTHONUNBUFFERED",)
+        )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr

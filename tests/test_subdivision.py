@@ -44,7 +44,8 @@ from blossom_subdiv.sampling import (
     random_surface,
     random_triangle,
 )
-from blossom_subdiv.subdivision import _subdivide_triangle_four_fold, subdivide
+from blossom_subdiv.reference import subdivide_triangle_four_fold
+from blossom_subdiv.subdivision import subdivide
 
 import golden
 
@@ -376,7 +377,7 @@ def triangle_instances(draw, max_degree=2):
 
 # The composition kernel and the paper's four-fold sum: every oracle check
 # of the triangle runs against both.
-TRIANGLE_KERNELS = (subdivide_triangle, _subdivide_triangle_four_fold)
+TRIANGLE_KERNELS = (subdivide_triangle, subdivide_triangle_four_fold)
 
 
 def h32_surface(n, m):
@@ -420,7 +421,7 @@ class TestSubdivideTriangle:
         # Degrees up to 8 in each direction, above the oracle's cap, so
         # here the four-fold sum is the reference.
         surface, tri = instance
-        assert subdivide_triangle(surface, tri) == _subdivide_triangle_four_fold(surface, tri)
+        assert subdivide_triangle(surface, tri) == subdivide_triangle_four_fold(surface, tri)
 
     def test_unit_triangle_corners(self):
         patch = subdivide_triangle(golden.SAMPLE_SURFACE, golden.UNIT_TRIANGLE)
