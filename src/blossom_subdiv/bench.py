@@ -6,12 +6,13 @@ asymptotic gap independent of machine speed. Every summand is evaluated
 whatever its value, so a cell's count depends on its degrees alone; it
 is derived from them, through the loop bounds the closed forms
 themselves use, and only the closed-form or oracle call is timed. The
-closed-form side prices the paper's formulas: the curve and tensor
-kernels, and for triangles the four-fold sum, which lives in the
-reference module because no other command runs it. The enumeration side
-prices the definitional formulas: per-subset products for curves,
-per-pair products of index subsets for tensor patches, and disjoint
-subset pairs for triangular patches.
+closed-form side prices the paper's formulas: the curve split sum and
+the triangle four-fold sum, which live in the reference module because
+no other command runs them (the production curve and triangle kernels
+compose instead), and the tensor kernel, which is the production one.
+The enumeration side prices the definitional formulas: per-subset
+products for curves, per-pair products of index subsets for tensor
+patches, and disjoint subset pairs for triangular patches.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from .numerics import ORACLE_DEGREE_CAP, multinomial
 from .geometry import MonomialCurve, MonomialSurface
 from .oracle import blossom_net
 from .sampling import random_interval, random_point3, random_rect, random_triangle
-from .reference import iter_placements, subdivide_triangle_four_fold
-from .subdivision import _split_range, subdivide_curve, subdivide_tensor
+from .reference import (
+    iter_placements, subdivide_curve_split_sum, subdivide_triangle_four_fold,
+)
+from .subdivision import _split_range, subdivide_tensor
 
 SHAPES = ("curve", "tpb", "tb")
 METHODS = ("closed-form", "oracle")
 # The closed form of each shape, the function whose summands _cell_counts counts.
 _CLOSED_FORMS = {
-    "curve": subdivide_curve,
+    "curve": subdivide_curve_split_sum,
     "tpb": subdivide_tensor,
     "tb": subdivide_triangle_four_fold,
 }

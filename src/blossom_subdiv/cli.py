@@ -38,14 +38,25 @@ PROG = "blossom-subdiv"
 
 
 def _use_color() -> bool:
-    return os.environ.get("NO_COLOR") is None and sys.stderr.isatty()
+    return os.environ.get("NO_COLOR") is None and sys.stderr is not None and sys.stderr.isatty()
+
+
+def _stderr(text: str) -> None:
+    """Writes diagnostics while stderr is open and drops them otherwise, as
+    argparse does: Python sets sys.stderr to None when it starts with fd 2
+    closed, and a write fails once the descriptor behind it is gone."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
 
 
 def _diag(prefix: str, message: str, color: str) -> None:
     if _use_color():
-        sys.stderr.write(f"\x1b[{color}m{prefix}\x1b[0m {message}\n")
+        _stderr(f"\x1b[{color}m{prefix}\x1b[0m {message}\n")
     else:
-        sys.stderr.write(f"{prefix} {message}\n")
+        _stderr(f"{prefix} {message}\n")
 
 
 def _warn(message: str) -> None:
@@ -58,6 +69,8 @@ def _error(message: str) -> None:
 
 def _read_input(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:  # started with fd 0 closed
+            raise OSError("standard input is closed")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -65,6 +78,8 @@ def _read_input(path: str) -> str:
 
 def _write_output(path: str, text: str) -> None:
     if path == "-":
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError("standard output is closed")
         # Flushed here, so a failed write is an error of this command.
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -120,9 +135,7 @@ def _cmd_verify(args) -> int:
 
     report = run_verification(args.trials, args.max_degree, args.seed)
     for shape in ("curve", "tpb", "tb"):
-        sys.stderr.write(
-            f"{shape}: {report.checked_points[shape]} control points compared exactly\n"
-        )
+        _stderr(f"{shape}: {report.checked_points[shape]} control points compared exactly\n")
     if report.ok:
         _diag("PASS", f"{args.trials} trials, closed form matches enumeration", "32")
         return 0
@@ -131,7 +144,7 @@ def _cmd_verify(args) -> int:
         f"mismatch in {mm.shape} trial {mm.trial} at control point {mm.index}: "
         f"closed-form {mm.closed_form or 'missing'} vs oracle {mm.oracle or 'missing'}"
     )
-    sys.stderr.write(json.dumps({"counterexample": mm.instance}, indent=2) + "\n")
+    _stderr(json.dumps({"counterexample": mm.instance}, indent=2) + "\n")
     return 1
 
 
@@ -268,7 +281,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 def entry() -> None:
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
         # Output main does not flush (argparse's --help) fails here. The
         # unwritable bytes stay buffered: point fd 1 at the null device,

@@ -1,9 +1,13 @@
-"""The paper's closed form for triangular patches, kept as a reference.
+"""The paper's closed forms for curves and triangular patches, kept as
+references.
 
-Point (nu, mu) is the blossom at nu copies of va, mu of vb and N - nu - mu
-of vc, summed four-fold over the placements of each monomial's indices in
-those zones. No command but bench runs it: subdivision.subdivide_triangle
-is the production kernel, and the tests hold it to this one.
+A curve's point nu is the blossom at nu copies of b and n - nu of a,
+summed over the ways each monomial's factors split between the two
+endpoints. A triangle's point (nu, mu) is the blossom at nu copies of va,
+mu of vb and N - nu - mu of vc, summed four-fold over the placements of
+each monomial's indices in those zones. No command but bench runs them:
+subdivision.subdivide_curve and subdivide_triangle are the production
+kernels, and the tests hold them to these.
 """
 
 from __future__ import annotations
@@ -12,10 +16,32 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterator
 
-from .numerics import binomial, multinomial
+from .numerics import RATIONAL_ZERO, binomial, multinomial
 from .geometry import (
-    DomainTriangle, MonomialSurface, Point3, TrianglePatch, over_common_denominators,
+    BezierCurve, DomainTriangle, MonomialCurve, MonomialSurface, ParamInterval, Point3,
+    TrianglePatch, ZERO3, over_common_denominators,
 )
+from .subdivision import _split_range, _split_term
+
+
+def subdivide_curve_split_sum(curve: MonomialCurve, interval: ParamInterval) -> BezierCurve:
+    """subdivision.subdivide_curve by the paper's closed form: control
+    point nu is the blossom at nu copies of b and n - nu copies of a,
+    computed as a double sum over coefficient index i and the count k of
+    b-slots used by each monomial term.
+    """
+    n = curve.degree
+    a, b = interval.a, interval.b
+    points = []
+    for nu in range(n + 1):
+        acc = ZERO3
+        for i, coeff in enumerate(curve.coeffs):
+            s = RATIONAL_ZERO
+            for k in _split_range(n, nu, i):
+                s += _split_term(n, nu, i, k, a, b)
+            acc = acc + (s / binomial(n, i)) * coeff
+        points.append(acc)
+    return BezierCurve(tuple(points), interval)
 
 
 def iter_placements(

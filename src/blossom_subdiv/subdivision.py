@@ -1,37 +1,25 @@
-"""Closed-form subdivision control points.
+"""Production subdivision kernels.
 
 Each control point of the restricted curve/patch is the blossom of the
 monomial input at a fixed multiset of domain parameters. The curve and
-tensor kernels compute those values directly from the coefficients with
-the paper's nested bounded sums instead of enumerating index subsets.
-
-The triangle kernel composes the surface with the domain's barycentric
-linear forms instead (DeRose, "Composing Bezier simplexes", ACM TOG 1988;
-Farouki and Rajan, "Algorithms for polynomials in Bernstein form", CAGD
-1988): written homogeneously in the barycentric coordinates, the
-coefficient of each Bernstein monomial is the control point times its
-multinomial. The paper's four-fold sum for the triangle is in the
-reference module. The blossom oracle provides the independent cross-check.
+triangle kernels compose the polynomial with the domain's linear forms,
+in integers (DeRose, "Composing Bezier simplexes", ACM TOG 1988; Farouki
+and Rajan, "Algorithms for polynomials in Bernstein form", CAGD 1988):
+the coefficient of each Bernstein monomial of the homogeneous form is the
+control point times its binomial or multinomial. The tensor kernel runs
+the paper's nested bounded sums. The paper's curve and triangle closed
+forms are in the reference module; the oracle is the independent check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .numerics import RATIONAL_ZERO, binomial, multinomial
 from .geometry import (
-    BezierCurve,
-    DomainTriangle,
-    MonomialCurve,
-    MonomialSurface,
-    ParamInterval,
-    ParamRect,
-    Point3,
-    TensorPatch,
-    TrianglePatch,
-    ZERO3,
-    combine_points,
-    over_common_denominators,
+    BezierCurve, DomainTriangle, MonomialCurve, MonomialSurface, ParamInterval, ParamRect,
+    Point3, TensorPatch, TrianglePatch, ZERO3, combine_points, over_common_denominators,
 )
 
 
@@ -53,22 +41,34 @@ def _split_term(n: int, nu: int, i: int, k: int, a, b):
 def subdivide_curve(curve: MonomialCurve, interval: ParamInterval) -> BezierCurve:
     """Bernstein control points of the curve restricted to [a, b].
 
-    Control point nu equals the blossom at nu copies of b and n - nu
-    copies of a, computed here as a double sum over coefficient index i
-    and the count k of b-slots used by each monomial term.
+    Point nu is the blossom at nu copies of b and n - nu copies of a. With
+    a = pa / q and b = pb / q, q**n times the curve is the degree-n form
+    sum_i c_i (pa sigma + pb tau)**i (q (sigma + tau))**(n - i), whose
+    sigma**(n - nu) tau**nu coefficient is binomial(n, nu) * q**n times
+    point nu. Column i of the table holds (pa sigma + pb tau)**i
+    (sigma + tau)**(n - i), found row by row from column i - 1: times
+    (sigma + tau) it is column i - 1 times (pa sigma + pb tau). c_i takes
+    the factor q**(n - i) and each axis its common denominator, so each
+    coordinate is one Fraction(total, binomial(n, nu) * q**n * q_axis).
     """
     n = curve.degree
     a, b = interval.a, interval.b
-    points = []
-    for nu in range(n + 1):
-        acc = ZERO3
-        for i, coeff in enumerate(curve.coeffs):
-            s = RATIONAL_ZERO
-            for k in _split_range(n, nu, i):
-                s += _split_term(n, nu, i, k, a, b)
-            acc = acc + (s / binomial(n, i)) * coeff
-        points.append(acc)
-    return BezierCurve(tuple(points), interval)
+    q = lcm(a.denominator, b.denominator)
+    pa, pb = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    table = [[binomial(n, nu) for nu in range(n + 1)]]
+    for _ in range(n):
+        prev, column = table[-1], [pa * table[-1][0]]
+        for nu in range(1, n + 1):
+            column.append(pa * prev[nu] + pb * prev[nu - 1] - column[nu - 1])
+        table.append(column)
+    points, axis_den = over_common_denominators(curve.coeffs)
+    points = [tuple([q ** (n - i) * x for x in p]) for i, p in enumerate(points)]
+    den = q**n
+    return BezierCurve(
+        [Point3(*(Fraction(t, binomial(n, nu) * den * d) for t, d in zip(total, axis_den)))
+         for nu, total in enumerate(combine_points(zip(*table), points))],
+        interval,
+    )
 
 
 def subdivide_tensor(surface: MonomialSurface, rect: ParamRect) -> TensorPatch:

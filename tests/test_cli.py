@@ -114,6 +114,9 @@ class TestSubdivideCurve:
         assert [p.x for p in bez.control_points] == [1, 3]
 
 
+SURFACE_IN = ["-i", str(DATA / "surface_3x2.json")]
+
+
 class TestGoldenRegeneration:
     """The committed fixture outputs regenerate byte-for-byte."""
 
@@ -122,21 +125,28 @@ class TestGoldenRegeneration:
         [
             (
                 "tpb_unit_square.json",
-                ["subdivide-tpb", "-a", "0", "-b", "1", "-c", "0", "-d", "1"],
+                ["subdivide-tpb", "-a", "0", "-b", "1", "-c", "0", "-d", "1", *SURFACE_IN],
             ),
             (
                 "tpb_inner_rect.json",
-                ["subdivide-tpb", "-a", "1/3", "-b", "2/3", "-c", "1/4", "-d", "3/4"],
+                ["subdivide-tpb", "-a", "1/3", "-b", "2/3", "-c", "1/4", "-d", "3/4", *SURFACE_IN],
             ),
-            ("tb_unit_triangle.json", ["subdivide-tb", "--vertices", "0,0", "1,0", "0,1"]),
+            (
+                "tb_unit_triangle.json",
+                ["subdivide-tb", "--vertices", "0,0", "1,0", "0,1", *SURFACE_IN],
+            ),
             (
                 "tb_offset_triangle.json",
-                ["subdivide-tb", "--vertices", "0,1/2", "1/2,0", "1/2,1/2"],
+                ["subdivide-tb", "--vertices", "0,1/2", "1/2,0", "1/2,1/2", *SURFACE_IN],
+            ),
+            (
+                "bezier_cubic.json",
+                ["subdivide-curve", "-a=-1/2", "-b", "3/2", "-i", str(DATA / "curve_cubic.json")],
             ),
         ],
     )
     def test_byte_identical(self, golden_name, argv, capsys):
-        code, out, _ = run(argv + ["-i", str(DATA / "surface_3x2.json")], capsys)
+        code, out, _ = run(argv, capsys)
         assert code == 0
         assert out == (DATA / golden_name).read_text()
 

@@ -1,7 +1,8 @@
 """What one CLI process does: a fresh interpreter per command gives the
 same results as repeated in-process main() calls, the commands that
 subdivide, evaluate or mesh load no oracle, reference, verify or bench
-code, and a failed write to stdout keeps the exit-code contract."""
+code, and a failed write to stdout or a closed standard stream keeps the
+exit-code contract."""
 
 import os
 import re
@@ -44,9 +45,10 @@ PUBLIC_NAMES = {
 }
 
 
-def fresh(args, stdout=subprocess.PIPE, unset=()):
+def fresh(args, stdout=subprocess.PIPE, unset=(), closed=()):
     """Run python with args in a new interpreter that imports this checkout,
-    with the environment variables named in unset removed."""
+    with the environment variables named in unset removed and the file
+    descriptors named in closed shut, as a shell's <&- and >&- do."""
     env = dict(os.environ, NO_COLOR="1", COLUMNS="80")
     for name in unset:
         env.pop(name, None)
@@ -55,6 +57,7 @@ def fresh(args, stdout=subprocess.PIPE, unset=()):
     return subprocess.run(
         [sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None,
     )
 
 
@@ -192,3 +195,21 @@ def test_buffered_stdout_write_failure_exits_2_with_one_error_line(argv):
         )
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,closed,code,err",
+    [
+        (["eval", "-i", CURVE, "-u", "1/2"], (1,), 2, "error: standard output is closed\n"),
+        (["subdivide-curve", "-a", "0", "-b", "1"], (0,), 2, "error: standard input is closed\n"),
+        (["eval", "-i", CURVE, "-u", "1/2"], (1, 2), 2, ""),
+        (["verify", "--trials", "1", "--max-degree", "1"], (2,), 0, ""),
+    ],
+    ids=["stdout", "stdin", "stdout-and-stderr", "verify-stderr"],
+)
+def test_closed_standard_stream_keeps_the_exit_code_contract(argv, closed, code, err):
+    """A process started with a standard stream closed (Python then sets
+    sys.stdin or sys.stdout to None) exits 2 with one error: line if it
+    needs that stream, and writes diagnostics only while stderr is open."""
+    done = fresh(["-m", "blossom_subdiv.cli", *argv], closed=closed)
+    assert (done.returncode, done.stderr) == (code, err)

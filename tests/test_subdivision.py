@@ -44,7 +44,7 @@ from blossom_subdiv.sampling import (
     random_surface,
     random_triangle,
 )
-from blossom_subdiv.reference import subdivide_triangle_four_fold
+from blossom_subdiv.reference import subdivide_curve_split_sum, subdivide_triangle_four_fold
 from blossom_subdiv.subdivision import subdivide
 
 import golden
@@ -99,45 +99,93 @@ def brute_placement_count(nu, mu, lam, counts):
     return found
 
 
+# Vertex and coefficient coordinates: zero (so 0 ** 0 appears in the
+# sums), small rationals of either sign, and rationals over the coprime
+# primes 2**31 - 1 and 2**31 - 19, whose common denominators grow fast.
+coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.builds(Fraction, st.integers(-(2**32), 2**32), st.sampled_from([2**31 - 1, 2**31 - 19])),
+)
+points2 = st.builds(Point2, coordinates, coordinates)
+points3 = st.builds(Point3, coordinates, coordinates, coordinates)
+
+
+# The composition kernel and the paper's split sum: every curve check runs
+# against both.
+CURVE_KERNELS = (subdivide_curve, subdivide_curve_split_sum)
+
+
+@st.composite
+def curve_instances(draw):
+    """A curve of degree 6 to 32, above the oracle's cap, and an interval
+    whose ends may be equal, reversed, negative or over 32-bit primes."""
+    n = draw(st.integers(6, 32))
+    a = draw(coordinates)
+    b = draw(st.one_of(st.just(a), coordinates))
+    return MonomialCurve(tuple(draw(points3) for _ in range(n + 1))), ParamInterval(a, b)
+
+
+def h32_curve(n):
+    """A degree-n curve with coordinates over the primes 2**31 - 1 and
+    2**31 - 19 and an all-zero z axis."""
+    return MonomialCurve(
+        tuple(
+            Point3(Fraction(3**i - 2**32, 2**31 - 1), Fraction(2**32 - 5 * i, 2**31 - 19), 0)
+            for i in range(n + 1)
+        )
+    )
+
+
+# A reversed interval (a > b) with a negative end, over the 32-bit primes.
+H32_INTERVAL = ParamInterval(Fraction(2**31, 2**31 - 19), Fraction(-(2**32), 2**31 - 1))
+
+
 class TestSubdivideCurve:
     def test_constant_curve(self):
         curve = MonomialCurve((Point3(5, 6, 7),))
-        bez = subdivide_curve(curve, ParamInterval(-2, 9))
-        assert bez.control_points == (Point3(5, 6, 7),)
+        for kernel in CURVE_KERNELS:
+            bez = kernel(curve, ParamInterval(-2, 9))
+            assert bez.control_points == (Point3(5, 6, 7),), kernel.__name__
 
     def test_square_over_shifted_interval(self):
         # blossom of u^2 is u1*u2: values at (1,1), (3,1), (3,3)
-        bez = subdivide_curve(scalar_curve(0, 0, 1), ParamInterval(1, 3))
-        assert [p.x for p in bez.control_points] == [1, 3, 9]
+        for kernel in CURVE_KERNELS:
+            bez = kernel(scalar_curve(0, 0, 1), ParamInterval(1, 3))
+            assert [p.x for p in bez.control_points] == [1, 3, 9], kernel.__name__
 
     def test_degenerate_interval_collapses(self):
         curve = scalar_curve(2, -1, 4, 5)
         t = Fraction(3, 7)
-        bez = subdivide_curve(curve, ParamInterval(t, t))
         value = eval_monomial_curve(curve, t)
-        assert all(p == value for p in bez.control_points)
+        for kernel in CURVE_KERNELS:
+            bez = kernel(curve, ParamInterval(t, t))
+            assert all(p == value for p in bez.control_points), kernel.__name__
 
     def test_cube_over_unit_interval(self):
         # Unit-domain conversion: w_nu = C(nu, i) / C(n, i) applied to u^3.
-        bez = subdivide_curve(scalar_curve(0, 0, 0, 1), ParamInterval(0, 1))
-        assert [p.x for p in bez.control_points] == [0, 0, 0, 1]
+        for kernel in CURVE_KERNELS:
+            bez = kernel(scalar_curve(0, 0, 0, 1), ParamInterval(0, 1))
+            assert [p.x for p in bez.control_points] == [0, 0, 0, 1], kernel.__name__
 
     def test_reversed_interval_flips_orientation(self):
         curve = scalar_curve(1, 2, -3, 1)
-        forward = subdivide_curve(curve, ParamInterval(Fraction(1, 4), Fraction(3, 2)))
-        backward = subdivide_curve(curve, ParamInterval(Fraction(3, 2), Fraction(1, 4)))
-        assert forward.control_points == tuple(reversed(backward.control_points))
+        for kernel in CURVE_KERNELS:
+            forward = kernel(curve, ParamInterval(Fraction(1, 4), Fraction(3, 2)))
+            backward = kernel(curve, ParamInterval(Fraction(3, 2), Fraction(1, 4)))
+            assert forward.control_points == tuple(reversed(backward.control_points))
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(301)
         for _ in range(30):
             curve = random_curve(rng, 3)
             interval = random_interval(rng)
-            bez = subdivide_curve(curve, interval)
             n = curve.degree
-            for nu, got in enumerate(bez.control_points):
-                args = [interval.b] * nu + [interval.a] * (n - nu)
-                assert got == blossom_curve(curve, args)
+            for kernel in CURVE_KERNELS:
+                bez = kernel(curve, interval)
+                for nu, got in enumerate(bez.control_points):
+                    args = [interval.b] * nu + [interval.a] * (n - nu)
+                    assert got == blossom_curve(curve, args), kernel.__name__
 
     def test_geometric_consistency(self):
         rng = random.Random(302)
@@ -145,28 +193,43 @@ class TestSubdivideCurve:
         for _ in range(10):
             curve = random_curve(rng, 3)
             interval = random_interval(rng)
-            bez = subdivide_curve(curve, interval)
-            for t in ts:
-                reparam = interval.a + (interval.b - interval.a) * t
-                assert de_casteljau_curve(bez, t) == eval_monomial_curve(curve, reparam)
+            for kernel in CURVE_KERNELS:
+                bez = kernel(curve, interval)
+                for t in ts:
+                    reparam = interval.a + (interval.b - interval.a) * t
+                    assert de_casteljau_curve(bez, t) == eval_monomial_curve(curve, reparam)
 
     def test_corner_interpolation(self):
         rng = random.Random(303)
         curve = random_curve(rng, 4)
         interval = random_interval(rng)
-        bez = subdivide_curve(curve, interval)
-        assert bez.control_points[0] == eval_monomial_curve(curve, interval.a)
-        assert bez.control_points[-1] == eval_monomial_curve(curve, interval.b)
+        for kernel in CURVE_KERNELS:
+            bez = kernel(curve, interval)
+            assert bez.control_points[0] == eval_monomial_curve(curve, interval.a)
+            assert bez.control_points[-1] == eval_monomial_curve(curve, interval.b)
 
     def test_split_halves_agree_at_shared_parameter(self):
         rng = random.Random(304)
         curve = random_curve(rng, 4)
         a, b = Fraction(-1, 3), Fraction(5, 4)
         mid = (a + b) / 2
-        left = subdivide_curve(curve, ParamInterval(a, mid))
-        right = subdivide_curve(curve, ParamInterval(mid, b))
-        assert left.control_points[-1] == right.control_points[0]
-        assert de_casteljau_curve(left, 1) == de_casteljau_curve(right, 0)
+        for kernel in CURVE_KERNELS:
+            left = kernel(curve, ParamInterval(a, mid))
+            right = kernel(curve, ParamInterval(mid, b))
+            assert left.control_points[-1] == right.control_points[0]
+            assert de_casteljau_curve(left, 1) == de_casteljau_curve(right, 0)
+
+    @settings(max_examples=40)
+    @given(curve_instances())
+    @example((h32_curve(0), ParamInterval(Fraction(5, 2), Fraction(-1, 9))))
+    @example((h32_curve(6), ParamInterval(Fraction(-3, 7), Fraction(-3, 7))))
+    @example((h32_curve(32), H32_INTERVAL))
+    @example((scalar_curve(*range(-16, 17)), ParamInterval(Fraction(-2, 13), Fraction(-9, 11))))
+    def test_composition_equals_split_sum(self, instance):
+        # Above the oracle's cap the split sum is the reference. The
+        # examples add degree 0, a == b, a > b and negative ends.
+        curve, interval = instance
+        assert subdivide_curve(curve, interval) == subdivide_curve_split_sum(curve, interval)
 
 
 class TestSubdivideTensor:
@@ -343,18 +406,6 @@ def _zone_count_grid(nu, mu, lam):
                     for i_g in range(lam + 1):
                         for j_g in range(lam - i_g + 1):
                             yield (i_a, i_b, i_g, j_a, j_b, j_g)
-
-
-# Vertex and coefficient coordinates: zero (so 0 ** 0 appears in the
-# sums), small rationals of either sign, and rationals over the coprime
-# primes 2**31 - 1 and 2**31 - 19, whose common denominators grow fast.
-coordinates = st.one_of(
-    st.just(Fraction(0)),
-    st.fractions(min_value=-3, max_value=3, max_denominator=9),
-    st.builds(Fraction, st.integers(-(2**32), 2**32), st.sampled_from([2**31 - 1, 2**31 - 19])),
-)
-points2 = st.builds(Point2, coordinates, coordinates)
-points3 = st.builds(Point3, coordinates, coordinates, coordinates)
 
 
 @st.composite
