@@ -191,6 +191,14 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(**kwargs)
         self._negative_number_matcher = re.compile(r"-\d")
 
+    def print_help(self, file=None):
+        # Help is output like any command's, so a closed or full stdout
+        # ends it with exit 2 and one error: line.
+        if file is None:
+            _write_output("-", self.format_help())
+        else:
+            super().print_help(file)
+
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -266,13 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (documents.DocumentError, ValueError, OSError) as exc:
         _error(str(exc))
         return 2
@@ -284,9 +290,9 @@ def entry() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        # Output main does not flush (argparse's --help) fails here. The
-        # unwritable bytes stay buffered: point fd 1 at the null device,
-        # so the interpreter's last flush does not fail again.
+        # Bytes whose write failed in main stay buffered and fail again
+        # here: point fd 1 at the null device, so the interpreter's last
+        # flush does not fail as well.
         if code == 0:
             _error(str(exc))
             code = 2

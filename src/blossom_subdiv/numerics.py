@@ -37,12 +37,13 @@ _RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # --max-oracle-degree above this are refused.
 ORACLE_DEGREE_CAP = 5
 # mesh evaluates every sampled vertex exactly and holds them all, at about
-# 0.21 ms and 0.4 KB each on a degree-(3, 2) monomial surface (Horner),
-# 7 us on a degree-(3, 2) tensor patch and 13 us on a degree-5 triangle
-# patch (basis tables; Python 3.11 on one core of a shared 2-vCPU host).
-# So a mesh of more sampled vertices than this (a 128 x 128 grid: about
-# 3.5 s and 6 MB on that monomial surface, 0.11 s on that tensor patch)
-# is refused before any evaluation.
+# 0.13-0.21 ms and 0.4 KB each on a degree-(3, 2) monomial surface
+# (Horner), and 2-3 us on a degree-(3, 2) tensor patch or a degree-5
+# triangle patch (forward differences, of which the float formatting is
+# about half; Python 3.11 on one core of a shared 2-vCPU host). So a mesh
+# of more sampled vertices than this (a 128 x 128 grid: about 2.2-3.5 s
+# and 6 MB on that monomial surface, 34 ms on that tensor patch) is
+# refused before any evaluation.
 MESH_VERTEX_BUDGET = 2**14
 
 

@@ -479,14 +479,23 @@ MESH_9_NET_SHA256 = {
     "tpb_unit_square.json": "044a4b1a89622a2b19d420d0c4ad1278bbb9de1c19a1394e078d29364549ec6e",
 }
 
-# mesh --samples 33, the density perfbench meshes at.
+# mesh --samples 33, the density perfbench meshes at, for every Bernstein
+# fixture; each digest was recorded before the sampler changed. The two
+# unit-domain documents come first, as they were pinned first, so that
+# their plain cases keep their test ids.
 MESH_33_SHA256 = {
     "tb_unit_triangle.json": "7ea6cb9966c1f6b7d22ab839d4c0e4057d7b54f0704d80f17f2da25e72c35f49",
     "tpb_unit_square.json": "455c9f9f4196d6a8894c5bcf550af6dae12c0f7b4c719f2aeba7dc3562480991",
+    "bezier_cubic.json": "ed3acf634120a89b1c13325b5536332eddc3c7d7f385543807f62a15737a916b",
+    "tb_offset_triangle.json": "53166104e2288baeaf591a71fd40790f6d3b8336fc486518f1cc4dc31d5a7b3e",
+    "tpb_inner_rect.json": "f3d59f6bff00da435718f4a005637ee94a598062d1ffc660733ede56f2538002",
 }
 MESH_33_NET_SHA256 = {
     "tb_unit_triangle.json": "1b408b15c4c64b5ff75b762f767b74cec1050ecd0d4714dcda5d2f423ebd75c3",
     "tpb_unit_square.json": "e635a8f6332719459dcbf902494deb000e5dd933b8633e3943782add7309de1d",
+    "bezier_cubic.json": "9e1a70fa3820c712def225173708dcc87ea7487c5bec80efbcb70b5870e24c0c",
+    "tb_offset_triangle.json": "f9218dc6efdfaee7a0985cf84b316b47dc1c4b1dea9d0505bb009d193cd5bea5",
+    "tpb_inner_rect.json": "8bbcd36aed638519304a3445a3fefd869eab9f530dbcd52f6b2de511a52f3a22",
 }
 
 

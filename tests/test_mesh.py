@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -138,13 +139,13 @@ H32 = st.builds(lambda p, q, s: Fraction(s * p, q), _H32_INT, _H32_INT, st.sampl
 
 @st.composite
 def bernstein_objects(draw):
-    """A BezierCurve, TensorPatch or TrianglePatch of degrees 0-5, with
+    """A BezierCurve, TensorPatch or TrianglePatch of degrees 0-10, with
     coordinates of one height."""
     coord = st.one_of(st.just(Fraction(0)), draw(st.sampled_from([H9, H32])))
     point = st.builds(Point3, coord, coord, coord)
     points = lambda k: st.lists(point, min_size=k, max_size=k)
     kind = draw(st.sampled_from(["curve", "tensor", "triangle"]))
-    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    n, m = draw(st.integers(0, 10)), draw(st.integers(0, 10))
     if kind == "curve":
         return BezierCurve(draw(points(n + 1)), ParamInterval(0, 1))
     if kind == "tensor":
@@ -152,27 +153,141 @@ def bernstein_objects(draw):
     return TrianglePatch([draw(points(n - nu + 1)) for nu in range(n + 1)], golden.UNIT_TRIANGLE)
 
 
+def casteljau(values, k, g):
+    """g**degree times the Bernstein polynomial with integer coefficients
+    values at k/g, by de Casteljau's algorithm in integers."""
+    while len(values) > 1:
+        values = [(g - k) * a + k * b for a, b in zip(values, values[1:])]
+    return values[0]
+
+
+def casteljau_triangle(rows, r, c, g):
+    """The same for a triangular net rows[nu][mu], at the barycentric
+    weights r/g on nu, c/g on mu and the rest on the third index."""
+    while len(rows) > 1:
+        rows = [
+            [r * below[j] + c * row[j + 1] + (g - r - c) * row[j] for j in range(len(below))]
+            for row, below in zip(rows, rows[1:])
+        ]
+    return rows[0][0]
+
+
+def vertex_line(coords):
+    return "v " + " ".join(format(float(v), ".17g") for v in coords)
+
+
 def reference_vertices(obj, samples, with_net):
-    """The vertex lines of a mesh, each point evaluated exactly on its own
-    (de Casteljau) and rounded by float()."""
-    line = lambda p: "v " + " ".join(format(float(v), ".17g") for v in p.as_tuple())
-    ts = [Fraction(k, samples - 1) for k in range(samples)]
+    """The vertex lines of a mesh, each point evaluated on its own by de
+    Casteljau's algorithm in integers (each axis over one denominator)
+    and rounded by float(Fraction)."""
+    g = samples - 1
     if isinstance(obj, BezierCurve):
-        out = [line(evaluate(obj, t)) for t in ts]
-        net = obj.control_points
+        rows, degree = [obj.control_points], obj.degree
+        grid = [(k, 0) for k in range(samples)]
     elif isinstance(obj, TensorPatch):
-        out = [line(evaluate(obj, u, v)) for u in ts for v in ts]
-        net = [p for row in obj.control_points for p in row]
+        rows, degree = obj.control_points, sum(obj.degrees)
+        grid = [(k, l) for k in range(samples) for l in range(samples)]
     else:
-        out = [line(evaluate(obj, u, v)) for i, u in enumerate(ts) for v in ts[: samples - i]]
-        net = [p for _, _, p in obj.labelled_points()]
-    return out + [line(p) for p in net] if with_net else out
+        rows, degree = obj.rows, obj.degree
+        grid = [(r, c) for r in range(samples) for c in range(samples - r)]
+    axes = []
+    for a in range(3):
+        den = lcm(*(p.as_tuple()[a].denominator for row in rows for p in row))
+        ints = [[int(p.as_tuple()[a] * den) for p in row] for row in rows]
+        if isinstance(obj, BezierCurve):
+            values = [casteljau(ints[0], k, g) for k, _ in grid]
+        elif isinstance(obj, TensorPatch):
+            along_v = [[casteljau(row, l, g) for row in ints] for l in range(samples)]
+            values = [casteljau(along_v[l], k, g) for k, l in grid]
+        else:
+            values = [casteljau_triangle(ints, r, c, g) for r, c in grid]
+        axes.append([Fraction(v, den * g**degree) for v in values])
+    out = [vertex_line(coords) for coords in zip(*axes)]
+    # The integer evaluation agrees with the library's, at one grid point.
+    k, l = grid[len(grid) // 2]
+    params = [Fraction(k, g)] if isinstance(obj, BezierCurve) else [Fraction(k, g), Fraction(l, g)]
+    assert out[len(grid) // 2] == vertex_line(evaluate(obj, *params).as_tuple())
+    return out + [vertex_line(p.as_tuple()) for row in rows for p in row] if with_net else out
 
 
 class TestMeshMatchesEvaluation:
     @settings(max_examples=150)
-    @given(bernstein_objects(), st.integers(2, 17), st.booleans())
+    @given(bernstein_objects(), st.integers(2, 40), st.booleans())
     def test_vertices_are_rounded_exact_evaluations(self, obj, samples, with_net):
+        """Samples up to the degree put some of the points that fix the
+        polynomial outside the grid."""
         text = mesh_document(obj, samples, with_net)
         got = [line for line in text.splitlines() if line.startswith("v ")]
         assert got == reference_vertices(obj, samples, with_net)
+
+
+def quad_records(samples, net):
+    """The f and l records of a quad grid and its control net, numbered
+    point by point."""
+    vid = lambda r, c: r * samples + c + 1
+    out = [
+        f"f {vid(r, c)} {vid(r + 1, c)} {vid(r + 1, c + 1)} {vid(r, c + 1)}"
+        for r in range(samples - 1)
+        for c in range(samples - 1)
+    ]
+    if net:
+        rows, cols = len(net), len(net[0])
+        nid = lambda r, c: samples * samples + r * cols + c + 1
+        out += ["l " + " ".join(str(nid(r, c)) for c in range(cols)) for r in range(rows)]
+        out += ["l " + " ".join(str(nid(r, c)) for r in range(rows)) for c in range(cols)]
+    return out
+
+
+def triangle_id(base, size, r, c):
+    """OBJ number of point c of row r of a triangular grid whose rows hold
+    size, size - 1, ... points, numbered row by row after base."""
+    return base + r * size - r * (r - 1) // 2 + c + 1
+
+
+def triangle_records(samples, net):
+    """The f and l records of a triangle grid and its control net,
+    numbered point by point."""
+    vid = lambda r, c: triangle_id(0, samples, r, c)
+    out = []
+    for r in range(samples - 1):
+        for c in range(samples - 1 - r):
+            out.append(f"f {vid(r, c)} {vid(r + 1, c)} {vid(r, c + 1)}")
+            if c + 1 < samples - 1 - r:
+                out.append(f"f {vid(r + 1, c)} {vid(r + 1, c + 1)} {vid(r, c + 1)}")
+    if net:
+        nid = lambda nu, mu: triangle_id(samples * (samples + 1) // 2, net.degree + 1, nu, mu)
+        for nu, mu, _ in net.labelled_points():
+            if nu + mu < net.degree:
+                out.append(f"l {nid(nu, mu)} {nid(nu + 1, mu)}")
+                out.append(f"l {nid(nu, mu)} {nid(nu, mu + 1)}")
+                out.append(f"l {nid(nu + 1, mu)} {nid(nu, mu + 1)}")
+    return out
+
+
+class TestGridRecords:
+    """Face and net-line numbering, against a point-by-point enumeration."""
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 2), (3, 1)])
+    def test_quad_grid(self, n, m):
+        patch = TensorPatch(
+            [[Point3(i, j, i * j) for j in range(m + 1)] for i in range(n + 1)], golden.UNIT_SQUARE
+        )
+        for samples in range(2, 41):
+            for with_net in (False, True):
+                text = mesh_document(patch, samples, with_net)
+                got = records(text, "f") + records(text, "l")
+                net = patch.control_points if with_net else None
+                assert got == quad_records(samples, net), (samples, with_net)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_triangle_grid(self, n):
+        patch = TrianglePatch(
+            [[Point3(nu, mu, nu - mu) for mu in range(n - nu + 1)] for nu in range(n + 1)],
+            golden.UNIT_TRIANGLE,
+        )
+        for samples in range(2, 41):
+            for with_net in (False, True):
+                text = mesh_document(patch, samples, with_net)
+                got = records(text, "f") + records(text, "l")
+                net = patch if with_net else None
+                assert got == triangle_records(samples, net), (samples, with_net)

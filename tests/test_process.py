@@ -197,6 +197,20 @@ def test_buffered_stdout_write_failure_exits_2_with_one_error_line(argv):
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["eval", "-i", CURVE, "-u", "1/2"], ["--help"], ["mesh", "-h"]],
+    ids=["eval", "help", "mesh-help"],
+)
+def test_unbuffered_stdout_write_failure_exits_2_with_one_error_line(argv):
+    """With stdout unbuffered (python -u, or PYTHONUNBUFFERED set), the
+    write itself fails, and help text fails it as a command's output does
+    rather than being dropped with exit 0."""
+    with open("/dev/full", "w") as full:
+        done = fresh(["-u", "-m", "blossom_subdiv.cli", *argv], stdout=full)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize(
     "argv,closed,code,err",
     [
@@ -204,8 +218,10 @@ def test_buffered_stdout_write_failure_exits_2_with_one_error_line(argv):
         (["subdivide-curve", "-a", "0", "-b", "1"], (0,), 2, "error: standard input is closed\n"),
         (["eval", "-i", CURVE, "-u", "1/2"], (1, 2), 2, ""),
         (["verify", "--trials", "1", "--max-degree", "1"], (2,), 0, ""),
+        (["--help"], (1,), 2, "error: standard output is closed\n"),
+        (["subdivide-tb", "--help"], (1,), 2, "error: standard output is closed\n"),
     ],
-    ids=["stdout", "stdin", "stdout-and-stderr", "verify-stderr"],
+    ids=["stdout", "stdin", "stdout-and-stderr", "verify-stderr", "help", "subcommand-help"],
 )
 def test_closed_standard_stream_keeps_the_exit_code_contract(argv, closed, code, err):
     """A process started with a standard stream closed (Python then sets
