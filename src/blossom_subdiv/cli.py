@@ -17,16 +17,8 @@ import sys
 from typing import Optional
 
 from . import documents
-from .geometry import (
-    DomainTriangle,
-    MonomialCurve,
-    MonomialSurface,
-    ParamInterval,
-    ParamRect,
-    Point2,
-    evaluate,
-)
-from .numerics import MESH_VERTEX_BUDGET, ORACLE_DEGREE_CAP, parse_rational
+from .geometry import MonomialCurve, MonomialSurface, evaluate
+from .numerics import MESH_VERTEX_BUDGET, ORACLE_DEGREE_CAP, format_rational, parse_rational
 from .objmesh import mesh_document
 from .subdivision import subdivide
 
@@ -88,36 +80,33 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _parse_vertex(raw: str) -> Point2:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"vertex must be 's,t', got {raw!r}")
-    return Point2(parse_rational(parts[0]), parse_rational(parts[1]))
-
-
-def _interval(args) -> ParamInterval:
-    return ParamInterval(parse_rational(args.a), parse_rational(args.b))
-
-
-def _rect(args) -> ParamRect:
-    v_range = ParamInterval(parse_rational(args.c), parse_rational(args.d))
-    return ParamRect(_interval(args), v_range)
-
-
-def _triangle(args) -> DomainTriangle:
-    tri = DomainTriangle(*(_parse_vertex(v) for v in args.vertices))
-    if tri.is_degenerate():
-        _warn("domain triangle vertices are collinear; patch is degenerate")
-    return tri
+def _domain(args) -> dict:
+    """The subdivide-* flags as the domain object of the patch document
+    they make, values stripped. Each vertex is split and read before the
+    next one, so the first bad vertex names the error."""
+    keys = documents._DOMAIN_KEYS[args.kind]
+    if args.kind != "tb-patch":
+        return {key: getattr(args, key).strip() for key in keys}
+    raw = {}
+    for key, vertex in zip(keys, args.vertices):
+        parts = vertex.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"vertex must be 's,t', got {vertex!r}")
+        raw[key] = [format_rational(parse_rational(part)) for part in parts]
+    return raw
 
 
 def _cmd_subdivide(args) -> int:
-    """subdivide-*: args.domain parses the domain after the kind check."""
+    """subdivide-*: args.kind is the output kind, whose domain is read
+    from the flags after the input's kind check."""
     obj = documents.parse_input_document(_read_input(args.input))
-    kind = "curve" if args.domain is _interval else "surface"
+    kind = "curve" if args.kind == "bezier-curve" else "surface"
     if isinstance(obj, MonomialCurve) != (kind == "curve"):
         raise documents.DocumentError(f"{args.command} needs a {kind!r} document")
-    patch = subdivide(obj, args.domain(args))
+    domain = documents.domain_from_json(_domain(args), args.kind)
+    if args.kind == "tb-patch" and domain.is_degenerate():
+        _warn("domain triangle vertices are collinear; patch is degenerate")
+    patch = subdivide(obj, domain)
     _write_output(args.output, documents.dumps(documents.document(patch)))
     return 0
 
@@ -137,12 +126,12 @@ def _cmd_verify(args) -> int:
     for shape in ("curve", "tpb", "tb"):
         _stderr(f"{shape}: {report.checked_points[shape]} control points compared exactly\n")
     if report.ok:
-        _diag("PASS", f"{args.trials} trials, closed form matches enumeration", "32")
+        _diag("PASS", f"{args.trials} trials, kernel matches enumeration", "32")
         return 0
     mm = report.mismatch
     _error(
         f"mismatch in {mm.shape} trial {mm.trial} at control point {mm.index}: "
-        f"closed-form {mm.closed_form or 'missing'} vs oracle {mm.oracle or 'missing'}"
+        f"kernel {mm.kernel or 'missing'} vs oracle {mm.oracle or 'missing'}"
     )
     _stderr(json.dumps({"counterexample": mm.instance}, indent=2) + "\n")
     return 1
@@ -218,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("-a", "--a", required=True, help="interval start (rational)")
     p.add_argument("-b", "--b", required=True, help="interval end (rational)")
-    p.set_defaults(func=_cmd_subdivide, domain=_interval)
+    p.set_defaults(func=_cmd_subdivide, kind="bezier-curve")
 
     p = sub.add_parser("subdivide-tpb", help="restrict a monomial surface to [a,b] x [c,d]")
     add_io(p)
     for flag, doc in (("a", "u start"), ("b", "u end"), ("c", "v start"), ("d", "v end")):
         p.add_argument(f"-{flag}", f"--{flag}", required=True, help=f"{doc} (rational)")
-    p.set_defaults(func=_cmd_subdivide, domain=_rect)
+    p.set_defaults(func=_cmd_subdivide, kind="tpb-patch")
 
     p = sub.add_parser("subdivide-tb", help="restrict a monomial surface to a triangle")
     add_io(p)
@@ -232,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--vertices", nargs=3, required=True, metavar="S,T",
         help="the three domain-triangle vertices as rational pairs",
     )
-    p.set_defaults(func=_cmd_subdivide, domain=_triangle)
+    p.set_defaults(func=_cmd_subdivide, kind="tb-patch")
 
     p = sub.add_parser("eval", help="evaluate any document at exact parameters")
     add_io(p)
@@ -240,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", help="second parameter (rational, surfaces/patches only)")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("verify", help="closed form vs. brute-force enumeration on random instances")
+    p = sub.add_parser("verify", help="kernel vs. brute-force enumeration on random instances")
     p.add_argument("--trials", type=int, default=100, help="random instances per shape")
     p.add_argument(
         "--max-degree", type=int, default=3,

@@ -25,11 +25,21 @@ from .geometry import (
     TrianglePatch,
 )
 
-SURFACE_KINDS = ("curve", "surface")
-PATCH_KINDS = ("bezier-curve", "tpb-patch", "tb-patch")
-# A patch document's domain keys: the interval a..b, the rectangle
-# a..b x c..d, or the triangle's three vertices.
-_DOMAIN_KEYS = {"bezier-curve": "ab", "tpb-patch": "abcd", "tb-patch": ("va", "vb", "vc")}
+# The document grammar: each kind's type, degree rank, points key (also
+# the type's attribute that holds them), domain keys and writer. A
+# document holds "kind", then "degree" (rank integers), then "domain" for
+# the patch kinds (a..b, a..b x c..d or three vertices), then the points:
+# one array level per degree, or labelled entries for a tb-patch.
+_KINDS = {
+    "curve": (MonomialCurve, 1, "coeffs", None, "curve_document"),
+    "surface": (MonomialSurface, 2, "coeffs", None, "surface_document"),
+    "bezier-curve": (BezierCurve, 1, "control_points", "ab", "bezier_curve_document"),
+    "tpb-patch": (TensorPatch, 2, "control_points", "abcd", "tensor_patch_document"),
+    "tb-patch": (TrianglePatch, 1, "control_points", ("va", "vb", "vc"), "triangle_patch_document"),
+}
+SURFACE_KINDS = tuple(kind for kind, grammar in _KINDS.items() if grammar[3] is None)
+PATCH_KINDS = tuple(kind for kind in _KINDS if kind not in SURFACE_KINDS)
+_DOMAIN_KEYS = {kind: _KINDS[kind][3] for kind in PATCH_KINDS}
 
 InputObject = Union[MonomialCurve, MonomialSurface]
 PatchObject = Union[BezierCurve, TensorPatch, TrianglePatch]
@@ -115,23 +125,6 @@ def _loads(text: str) -> dict:
     return obj
 
 
-def curve_document(curve: MonomialCurve) -> dict:
-    return {
-        "kind": "curve",
-        "degree": [curve.degree],
-        "coeffs": [point_to_json(c) for c in curve.coeffs],
-    }
-
-
-def surface_document(surface: MonomialSurface) -> dict:
-    n, m = surface.degrees
-    return {
-        "kind": "surface",
-        "degree": [n, m],
-        "coeffs": [[point_to_json(c) for c in row] for row in surface.coeffs],
-    }
-
-
 def _degrees(obj: dict, rank: int) -> list[int]:
     """The "degree" array of a document: rank non-negative integers.
     JSON booleans are not integers here, although Python's bool is one."""
@@ -157,37 +150,37 @@ def _point_grid(raw, degrees: list[int], what: str) -> tuple:
     return tuple(_point_grid(row, degrees[1:], what) for row in raw)
 
 
-def parse_input_document(text: str) -> InputObject:
-    """Parse a monomial curve or surface document."""
-    return _input_from_obj(_loads(text))
+def _points_json(points, rank: int) -> list:
+    """points as _point_grid reads them: nested one array level per degree."""
+    if rank == 1:
+        return [point_to_json(p) for p in points]
+    return [_points_json(row, rank - 1) for row in points]
 
 
-def _input_from_obj(obj: dict) -> InputObject:
-    kind = obj.get("kind")
-    if kind not in SURFACE_KINDS:
-        raise DocumentError(f"expected kind 'curve' or 'surface', got {kind!r}")
-    degrees = _degrees(obj, 1 if kind == "curve" else 2)
-    coeffs = _point_grid(obj.get("coeffs"), degrees, f"{kind} coeffs")
-    return MonomialCurve(coeffs) if kind == "curve" else MonomialSurface(coeffs)
+def _write(kind: str, obj) -> dict:
+    """The document of any kind but the tb-patch."""
+    _, rank, key, domain_keys, _ = _KINDS[kind]
+    doc = {"kind": kind, "degree": [obj.degree] if rank == 1 else list(obj.degrees)}
+    if domain_keys is not None:
+        doc["domain"] = domain_to_json(obj.domain)
+    doc[key] = _points_json(getattr(obj, key), rank)
+    return doc
+
+
+def curve_document(curve: MonomialCurve) -> dict:
+    return _write("curve", curve)
+
+
+def surface_document(surface: MonomialSurface) -> dict:
+    return _write("surface", surface)
 
 
 def bezier_curve_document(bezier: BezierCurve) -> dict:
-    return {
-        "kind": "bezier-curve",
-        "degree": [bezier.degree],
-        "domain": domain_to_json(bezier.domain),
-        "control_points": [point_to_json(p) for p in bezier.control_points],
-    }
+    return _write("bezier-curve", bezier)
 
 
 def tensor_patch_document(patch: TensorPatch) -> dict:
-    n, m = patch.degrees
-    return {
-        "kind": "tpb-patch",
-        "degree": [n, m],
-        "domain": domain_to_json(patch.domain),
-        "control_points": [[point_to_json(p) for p in row] for row in patch.control_points],
-    }
+    return _write("tpb-patch", patch)
 
 
 def triangle_patch_document(patch: TrianglePatch) -> dict:
@@ -205,41 +198,29 @@ def triangle_patch_document(patch: TrianglePatch) -> dict:
 
 
 def document(obj: Union[InputObject, PatchObject]) -> dict:
-    """The document of any curve, surface or patch. The writers are module
-    globals looked up at each call, as subdivide's kernels are."""
-    if isinstance(obj, MonomialCurve):
-        return curve_document(obj)
-    if isinstance(obj, MonomialSurface):
-        return surface_document(obj)
-    if isinstance(obj, BezierCurve):
-        return bezier_curve_document(obj)
-    if isinstance(obj, TensorPatch):
-        return tensor_patch_document(obj)
-    if isinstance(obj, TrianglePatch):
-        return triangle_patch_document(obj)
+    """The document of any curve, surface or patch. Its writer is a module
+    global looked up at each call, as subdivide's kernels are."""
+    for cls, _, _, _, writer in _KINDS.values():
+        if isinstance(obj, cls):
+            return globals()[writer](obj)
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
-def parse_patch_document(text: str) -> PatchObject:
-    """Parse a Bernstein-form patch document.
-
-    Returns a BezierCurve, TensorPatch or TrianglePatch, each with its
-    domain attached.
-    """
-    return _patch_from_obj(_loads(text))
-
-
-def _patch_from_obj(obj: dict) -> PatchObject:
+def _read(obj: dict, kinds: tuple, refusal: str) -> Union[InputObject, PatchObject]:
+    """The object of a document whose kind is one of kinds; refusal, with
+    the kind found in place of {!r}, names any other kind."""
     kind = obj.get("kind")
-    if kind not in PATCH_KINDS:
-        raise DocumentError(f"expected a patch kind {PATCH_KINDS}, got {kind!r}")
-    points = obj.get("control_points")
+    if kind not in kinds:
+        raise DocumentError(refusal.format(kind))
+    cls, rank, key, domain_keys, _ = _KINDS[kind]
+    degrees = _degrees(obj, rank)
+    points = obj.get(key)
     if kind != "tb-patch":
-        degrees = _degrees(obj, 1 if kind == "bezier-curve" else 2)
-        grid = _point_grid(points, degrees, f"{kind} control_points")
-        patch_type = BezierCurve if kind == "bezier-curve" else TensorPatch
-        return patch_type(grid, domain_from_json(obj.get("domain"), kind))
-    (n_total,) = _degrees(obj, 1)
+        grid = _point_grid(points, degrees, f"{kind} {key}")
+        if domain_keys is None:
+            return cls(grid)
+        return cls(grid, domain_from_json(obj.get("domain"), kind))
+    (n_total,) = degrees
     expected = (n_total + 1) * (n_total + 2) // 2
     if not isinstance(points, list) or len(points) != expected:
         raise DocumentError(
@@ -261,12 +242,17 @@ def _patch_from_obj(obj: dict) -> PatchObject:
     return TrianglePatch(rows, tri)
 
 
+def parse_input_document(text: str) -> InputObject:
+    """Parse a monomial curve or surface document."""
+    return _read(_loads(text), SURFACE_KINDS, "expected kind 'curve' or 'surface', got {!r}")
+
+
+def parse_patch_document(text: str) -> PatchObject:
+    """Parse a Bernstein-form patch document: a BezierCurve, TensorPatch
+    or TrianglePatch, each with its domain attached."""
+    return _read(_loads(text), PATCH_KINDS, f"expected a patch kind {PATCH_KINDS}, got {{!r}}")
+
+
 def parse_any_document(text: str) -> Union[InputObject, PatchObject]:
-    """Dispatch on the kind field; accepts both input and patch documents."""
-    obj = _loads(text)
-    kind = obj.get("kind")
-    if kind in SURFACE_KINDS:
-        return _input_from_obj(obj)
-    if kind in PATCH_KINDS:
-        return _patch_from_obj(obj)
-    raise DocumentError(f"unknown document kind {kind!r}")
+    """Parse a document of any kind."""
+    return _read(_loads(text), tuple(_KINDS), "unknown document kind {!r}")

@@ -1,5 +1,5 @@
-"""Randomized equivalence check: closed-form control points against the
-brute-force blossom oracle, compared exactly."""
+"""Randomized equivalence check: the subdivision kernels' control points
+against the brute-force blossom oracle, compared exactly."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ class Mismatch:
     trial: int
     index: tuple[int, ...]
     # A point's coordinates, or None where that side has no such point.
-    closed_form: Optional[list[str]]
+    kernel: Optional[list[str]]
     oracle: Optional[list[str]]
     instance: dict
 
@@ -81,11 +81,11 @@ def run_verification(trials: int, max_degree: int, seed: int) -> VerifyReport:
             for index in sorted(oracle.keys() | kernel.keys()):
                 got, want = kernel.get(index), oracle.get(index)
                 if got != want:
-                    closed_form, expected = (
+                    kernel_json, oracle_json = (
                         None if p is None else documents.point_to_json(p) for p in (got, want)
                     )
                     report.mismatch = Mismatch(
-                        shape, trial, index, closed_form, expected, _counterexample(obj, domain)
+                        shape, trial, index, kernel_json, oracle_json, _counterexample(obj, domain)
                     )
                     return report
             report.checked_points[shape] += len(oracle)

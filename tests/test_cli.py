@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blossom_subdiv.cli import main
+from blossom_subdiv.cli import build_parser, main
 from blossom_subdiv.documents import (
     curve_document,
     dumps,
@@ -351,7 +351,7 @@ class TestVerify:
             (
                 "curve", "subdivide_curve",
                 lambda p: BezierCurve(p.control_points[:-1], p.domain),
-                "closed-form", lambda degree: (degree[0],),
+                "kernel", lambda degree: (degree[0],),
             ),
             (
                 "curve", "subdivide_curve",
@@ -361,7 +361,7 @@ class TestVerify:
             (
                 "tpb", "subdivide_tensor",
                 lambda p: TensorPatch(p.control_points[:-1], p.domain),
-                "closed-form", lambda degree: (degree[0], 0),
+                "kernel", lambda degree: (degree[0], 0),
             ),
         ],
         ids=["short-curve", "long-curve", "tpb-missing-last-row"],
@@ -592,6 +592,88 @@ class TestBench:
         assert {row["method"] for row in rows} == {"closed-form"}
 
 
+TB_IN = ["-i", str(DATA / "surface_3x2.json"), "--vertices"]
+TPB_IN = ["-i", str(DATA / "surface_3x2.json"), "-a", "0", "-b", "1"]
+
+# (argv, stdin, exit code, stderr), recorded before the document readers
+# and the subdivide commands' domain reading were merged, so that
+# rewriting them keeps every message and the order in which they win.
+# The one exception is "first-bad-tpb-endpoint-wins": the flags are now
+# read in the domain's key order a, b, c, d, where c and d came first.
+MESSAGES = {
+    "input-reader-refuses-tb-patch": (
+        ["subdivide-tpb", "-i", str(DATA / "tb_unit_triangle.json"), "-a", "0", "-b", "1"]
+        + ["-c", "0", "-d", "1"],
+        "", 2, "error: expected kind 'curve' or 'surface', got 'tb-patch'\n",
+    ),
+    "input-reader-refuses-bezier-curve": (
+        ["subdivide-tb", "-i", str(DATA / "bezier_cubic.json"), "--vertices", "0,0", "1,0", "0,1"],
+        "", 2, "error: expected kind 'curve' or 'surface', got 'bezier-curve'\n",
+    ),
+    "any-reader-refuses-mystery": (
+        ["eval", "-u", "0"], '{"kind": "mystery"}', 2, "error: unknown document kind 'mystery'\n",
+    ),
+    "any-reader-refuses-unhashable-kind": (
+        ["mesh"], '{"kind": ["curve"]}', 2, "error: unknown document kind ['curve']\n",
+    ),
+    "first-bad-endpoint-wins": (
+        ["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-a", "1/0", "-b", "x"],
+        "", 2, "error: zero denominator in rational '1/0'\n",
+    ),
+    "first-bad-tpb-endpoint-wins": (
+        ["subdivide-tpb", "-i", str(DATA / "surface_3x2.json"), "-a", "x", "-b", "1"]
+        + ["-c", "y", "-d", "1"],
+        "", 2, "error: malformed rational 'x'\n",
+    ),
+    "endpoint-whitespace-stripped": (
+        ["subdivide-tpb", *TPB_IN, "-c", " 1/3 ", "-d", "1"], "", 0, "",
+    ),
+    "vertex-with-three-parts": (
+        ["subdivide-tb", *TB_IN, "0,0", "1,0", "0,1,2"],
+        "", 2, "error: vertex must be 's,t', got '0,1,2'\n",
+    ),
+    "vertex-with-one-part": (
+        ["subdivide-tb", *TB_IN, "0,0", "1,1", "2"],
+        "", 2, "error: vertex must be 's,t', got '2'\n",
+    ),
+    "first-bad-vertex-wins": (
+        ["subdivide-tb", *TB_IN, "1/0,0", "1,2,3", "0,1"],
+        "", 2, "error: zero denominator in rational '1/0'\n",
+    ),
+    "vertex-whitespace-stripped": (["subdivide-tb", *TB_IN, "0 , 0", "1,0", "0,1 "], "", 0, ""),
+    "collinear-vertices-warn": (
+        ["subdivide-tb", *TB_IN, "0,0", "1,1", "2,2"],
+        "", 0, "warning: domain triangle vertices are collinear; patch is degenerate\n",
+    ),
+    "curve-command-on-surface": (
+        ["subdivide-curve", "-i", str(DATA / "surface_3x2.json"), "-a", "0", "-b", "1"],
+        "", 2, "error: subdivide-curve needs a 'curve' document\n",
+    ),
+    "tpb-command-on-curve": (
+        ["subdivide-tpb", "-i", str(DATA / "curve_cubic.json"), "-a", "0", "-b", "1"]
+        + ["-c", "0", "-d", "1"],
+        "", 2, "error: subdivide-tpb needs a 'surface' document\n",
+    ),
+    "kind-checked-before-vertices": (
+        ["subdivide-tb", "-i", str(DATA / "curve_cubic.json"), "--vertices"]
+        + ["0,0", "1,2,3", "0,1"],
+        "", 2, "error: subdivide-tb needs a 'surface' document\n",
+    ),
+    "bench-bad-degree": (["bench", "--degrees", "x"], "", 2, "error: bad degree 'x'\n"),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGES)
+def test_boundary_message(case):
+    argv, stdin, code, err = MESSAGES[case]
+    assert run_on_stdin(argv, stdin)[::2] == (code, err)
+
+
+def test_stripped_endpoint_gives_the_same_patch(capsys):
+    spaced = run(["subdivide-tpb", *TPB_IN, "-c", " 1/3 ", "-d", "1"], capsys)
+    assert spaced == run(["subdivide-tpb", *TPB_IN, "-c", "1/3", "-d", "1"], capsys)
+
+
 class TestBoundary:
     """Every input gives exit 0 or exit 2 with one error line, never a
     traceback; exit 1 is reserved for a verify mismatch."""
@@ -811,6 +893,14 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
+
+    def test_help_to_an_explicit_file(self, capsys):
+        """argparse's own callers pass no file; a caller that does gets
+        the help there and nothing on the standard streams."""
+        text = io.StringIO()
+        build_parser().print_help(text)
+        assert text.getvalue() == build_parser().format_help()
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("argv", [["-1"], ["-1", "eval"]], ids=["alone", "before-command"])
     def test_negative_command_is_named_as_typed(self, argv, capsys):

@@ -168,6 +168,31 @@ class TestAnyDocument:
         with pytest.raises(DocumentError):
             parse_any_document('{"kind": "mystery"}')
 
+    @pytest.mark.parametrize(
+        "parse,text,message",
+        [
+            (
+                parse_input_document, (DATA / "tb_unit_triangle.json").read_text(),
+                "expected kind 'curve' or 'surface', got 'tb-patch'",
+            ),
+            (
+                parse_patch_document, (DATA / "curve_cubic.json").read_text(),
+                "expected a patch kind ('bezier-curve', 'tpb-patch', 'tb-patch'), got 'curve'",
+            ),
+            (parse_any_document, '{"kind": "mystery"}', "unknown document kind 'mystery'"),
+            (parse_any_document, '{"degree": [0]}', "unknown document kind None"),
+        ],
+        ids=["input-reader", "patch-reader", "any-reader", "any-reader-no-kind"],
+    )
+    def test_foreign_kind_refused_by_name(self, parse, text, message):
+        with pytest.raises(DocumentError) as refused:
+            parse(text)
+        assert str(refused.value) == message
+
+    def test_no_document_for_other_values(self):
+        with pytest.raises(TypeError, match="^no document kind for Point3$"):
+            documents.document(Point3(0, 0, 0))
+
     @pytest.mark.parametrize("name", ["tb_unit_triangle.json", "surface_3x2.json"])
     def test_decodes_json_once(self, name, monkeypatch):
         decoded = []

@@ -185,6 +185,15 @@ class TestBarycentric:
         assert not golden.UNIT_TRIANGLE.is_degenerate()
 
 
+@pytest.mark.parametrize(
+    "a,b", [(Point3(1, "2/3", -1), Point3("-1/2", 5, 0)), (Point2("7/3", -2), Point2(0, "1/9"))]
+)
+def test_point_difference_inverts_sum(a, b):
+    assert (a + b) - b == a
+    assert a - b == a + (-1) * b
+    assert type(a - b) is type(a)
+
+
 class TestTypeInvariants:
     def test_surface_grid_must_be_rectangular(self):
         """Monomial surfaces and tensor patches refuse the same grids, each
