@@ -125,7 +125,8 @@ def _polyline(vertices: list[str], net: Sequence[Point3] | None) -> list[str]:
     lines.append("l " + " ".join(str(k + 1) for k in range(len(vertices))))
     if net:
         lines += ["g control-net", *[_vertex(p) for p in net]]
-        lines.append("l " + " ".join(str(len(vertices) + k + 1) for k in range(len(net))))
+        if len(net) > 1:  # an l element joins at least two vertices
+            lines.append("l " + " ".join(str(len(vertices) + k + 1) for k in range(len(net))))
     return lines
 
 
@@ -141,7 +142,7 @@ def _quad_grid(
         lines += ["g control-net", *[_vertex(p) for row in net for p in row]]
         w = len(net[0])
         ids = [[str(s * s + r * w + c + 1) for c in range(w)] for r in range(len(net))]
-        lines += ["l " + " ".join(row) for row in ids] + ["l " + " ".join(col) for col in zip(*ids)]
+        lines += ["l " + " ".join(line) for line in [*ids, *zip(*ids)] if len(line) > 1]
     return lines
 
 

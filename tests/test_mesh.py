@@ -233,8 +233,12 @@ def quad_records(samples, net):
     if net:
         rows, cols = len(net), len(net[0])
         nid = lambda r, c: samples * samples + r * cols + c + 1
-        out += ["l " + " ".join(str(nid(r, c)) for c in range(cols)) for r in range(rows)]
-        out += ["l " + " ".join(str(nid(r, c)) for r in range(rows)) for c in range(cols)]
+        # An l element needs two vertices: a net row or column of one
+        # point (degree 0 in the other direction) has none.
+        if cols > 1:
+            out += ["l " + " ".join(str(nid(r, c)) for c in range(cols)) for r in range(rows)]
+        if rows > 1:
+            out += ["l " + " ".join(str(nid(r, c)) for r in range(rows)) for c in range(cols)]
     return out
 
 
@@ -267,7 +271,19 @@ def triangle_records(samples, net):
 class TestGridRecords:
     """Face and net-line numbering, against a point-by-point enumeration."""
 
-    @pytest.mark.parametrize("n,m", [(0, 0), (1, 2), (3, 1)])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_polyline(self, n):
+        curve = BezierCurve([Point3(k, 2 * k, 0) for k in range(n + 1)], ParamInterval(0, 1))
+        for samples in range(2, 41):
+            text = mesh_document(curve, samples, with_net=True)
+            # The polyline, then the control polygon, which a degree-0
+            # curve lacks: an l element needs two vertices.
+            ids = [range(1, samples + 1), range(samples + 1, samples + n + 2)]
+            want = ["l " + " ".join(map(str, line)) for line in ids if len(line) > 1]
+            assert (records(text, "f"), records(text, "l")) == ([], want)
+            assert len(vertices(text)) == samples + n + 1
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (0, 2), (1, 2), (3, 1), (2, 0)])
     def test_quad_grid(self, n, m):
         patch = TensorPatch(
             [[Point3(i, j, i * j) for j in range(m + 1)] for i in range(n + 1)], golden.UNIT_SQUARE

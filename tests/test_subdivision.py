@@ -426,6 +426,16 @@ def triangle_instances(draw, max_degree=2):
     return MonomialSurface(tuple(map(tuple, coeffs))), DomainTriangle(va, vb, vc)
 
 
+@st.composite
+def first_direction_instances(draw):
+    """A surface of degree (n, 0), n from 6 to 24, and a triangle whose
+    vertices vb and vc may coincide."""
+    column = [draw(points3) for _ in range(draw(st.integers(6, 24)) + 1)]
+    va, vb = draw(points2), draw(points2)
+    vc = draw(st.one_of(st.just(vb), points2))
+    return MonomialSurface(tuple((c,) for c in column)), DomainTriangle(va, vb, vc)
+
+
 # The composition kernel and the paper's four-fold sum: every oracle check
 # of the triangle runs against both.
 TRIANGLE_KERNELS = (subdivide_triangle, subdivide_triangle_four_fold)
@@ -473,6 +483,20 @@ class TestSubdivideTriangle:
         # here the four-fold sum is the reference.
         surface, tri = instance
         assert subdivide_triangle(surface, tri) == subdivide_triangle_four_fold(surface, tri)
+
+    @settings(max_examples=40)
+    @given(first_direction_instances())
+    @example((h32_surface(24, 0), H32_TRIANGLE))
+    @example((h32_surface(9, 0), DomainTriangle(H32_TRIANGLE.va, H32_TRIANGLE.vb, H32_TRIANGLE.vb)))
+    def test_first_row_is_the_curve_over_the_opposite_edge(self, instance):
+        # Row 0 takes no copy of va, and a degree-(n, 0) surface reads only
+        # the first coordinate, so row 0 is the curve of column 0 over
+        # [vc.s, vb.s]: the full-row and one-row cases of one recurrence,
+        # at degrees above the four-fold sum's limit.
+        surface, tri = instance
+        column = MonomialCurve(tuple(row[0] for row in surface.coeffs))
+        curve = subdivide_curve(column, ParamInterval(tri.vc.s, tri.vb.s))
+        assert subdivide_triangle(surface, tri).rows[0] == curve.control_points
 
     def test_unit_triangle_corners(self):
         patch = subdivide_triangle(golden.SAMPLE_SURFACE, golden.UNIT_TRIANGLE)

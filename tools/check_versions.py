@@ -5,7 +5,8 @@ checked too:
 - the OBJ digests of `mesh --samples 9` and `--samples 33` pinned in
   tests/test_cli.py (MESH_9_SHA256, MESH_9_NET_SHA256, MESH_33_SHA256 and
   MESH_33_NET_SHA256);
-- the golden subdivisions that CI compares with `cmp`;
+- the five golden subdivisions in tests/data, as TestGoldenRegeneration
+  in tests/test_cli.py regenerates them;
 - CI's negative-vertex `cmp`: `subdivide-tb --vertices -1/2,0 1,0 0,1`
   exits 0 with the same bytes through the installed script's function
   and through `python -m blossom_subdiv.cli`. cli._Parser makes argparse
@@ -60,10 +61,16 @@ def main():
             code, out = cli("mesh", "-i", str(DATA / name), "--samples", samples, *flags)
             if code != 0 or hashlib.sha256(out).hexdigest() != want:
                 failures.append(f"{table}[{name}]: exit {code}, digest differs")
+    surface = ["-i", str(DATA / "surface_3x2.json")]
     golden = [
-        (["subdivide-tb", "-i", str(DATA / "surface_3x2.json"), "--vertices", "0,0", "1,0", "0,1"],
-         "tb_unit_triangle.json"),
-        (["subdivide-curve", "-i", str(DATA / "curve_cubic.json"), "-a=-1/2", "-b", "3/2"],
+        (["subdivide-tpb", "-a", "0", "-b", "1", "-c", "0", "-d", "1", *surface],
+         "tpb_unit_square.json"),
+        (["subdivide-tpb", "-a", "1/3", "-b", "2/3", "-c", "1/4", "-d", "3/4", *surface],
+         "tpb_inner_rect.json"),
+        (["subdivide-tb", "--vertices", "0,0", "1,0", "0,1", *surface], "tb_unit_triangle.json"),
+        (["subdivide-tb", "--vertices", "0,1/2", "1/2,0", "1/2,1/2", *surface],
+         "tb_offset_triangle.json"),
+        (["subdivide-curve", "-a=-1/2", "-b", "3/2", "-i", str(DATA / "curve_cubic.json")],
          "bezier_cubic.json"),
     ]
     for argv, name in golden:
@@ -71,8 +78,7 @@ def main():
         if cli(*argv) != (0, (DATA / name).read_bytes()):
             failures.append(f"golden {name}: output differs")
     checks += 1
-    surface = str(DATA / "surface_3x2.json")
-    negative = ["subdivide-tb", "-i", surface, "--vertices", "-1/2,0", "1,0", "0,1"]
+    negative = ["subdivide-tb", *surface, "--vertices", "-1/2,0", "1,0", "0,1"]
     by_module, by_script = cli(*negative), cli(*negative, script=True)
     if by_module[0] != 0 or by_module != by_script:
         same = "the same" if by_module[1] == by_script[1] else "different"
