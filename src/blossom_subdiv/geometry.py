@@ -1,14 +1,16 @@
 """Monomial- and Bernstein-basis curve/surface types plus exact evaluators.
 
-Evaluation here (Horner, de Casteljau) is the geometric cross-check for
-the subdivision formulas: independent code paths that must agree
-bit-for-bit on exact rationals. The tests hold de Casteljau to direct
-Bernstein sums.
+evaluate() and the mesh export sample every kind through one exact
+integer sampler (_sample). Horner (eval_monomial_*) and de Casteljau
+(de_casteljau_*) stay as independent code paths: the tests hold
+evaluate() to them, and them to the subdivision formulas, bit-for-bit on
+exact rationals. The tests hold de Casteljau to direct Bernstein sums.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +19,7 @@ from .numerics import (
     RATIONAL_ZERO,
     Rational,
     as_rational,
+    multinomial,
 )
 
 _set = object.__setattr__
@@ -347,24 +350,63 @@ def combine_points(table: Iterable[Sequence[int]], points: Sequence[tuple]) -> l
     return [tuple([sum(map(mul, row, axis)) for axis in axes]) for row in table]
 
 
-# Each kind's parameter count and evaluator.
-_EVALUATORS = {
-    MonomialCurve: (1, eval_monomial_curve),
-    BezierCurve: (1, de_casteljau_curve),
-    MonomialSurface: (2, eval_monomial_surface),
-    TensorPatch: (2, de_casteljau_tensor),
-    TrianglePatch: (2, de_casteljau_triangle),
-}
+def _basis(monomial: bool, n: int, p: int, q: int) -> list[int]:
+    """q**n times the degree-n monomial or Bernstein basis at p/q."""
+    if monomial:
+        return [p**i * q ** (n - i) for i in range(n + 1)]
+    return [comb(n, i) * p**i * (q - p) ** (n - i) for i in range(n + 1)]
+
+
+def _sample(obj, q: int, us: Sequence[int], vs: Sequence[int] = (0,)) -> tuple[list, list[int]]:
+    """(points, dens): the exact value of any curve, surface or patch at
+    the parameters (u/q, v/q) for u in us and v in vs, as integer points
+    over dens, one denominator per axis. points[a][b] is the value at
+    (us[a], vs[b]). A curve takes no vs. On a triangle, where u and v
+    weigh the nu and mu directions, row a stops at b = len(us) - 1 - a.
+    Each value is one integer basis row (Farouki and Rajan, CAGD 1988)
+    dotted with the control points, per direction on a grid."""
+    if isinstance(obj, TrianglePatch):
+        n = degree = obj.degree
+        nums, dens = over_common_denominators([p for row in obj.rows for p in row])
+        weights = [(multinomial(n, i, j), i, j, n - i - j) for i, j, _ in obj.labelled_points()]
+        basis = lambda u, v: [w * u**i * v**j * (q - u - v) ** k for w, i, j, k in weights]
+        points = [
+            combine_points([basis(u, v) for v in vs[: len(us) - a]], nums)
+            for a, u in enumerate(us)
+        ]
+    else:
+        monomial = isinstance(obj, (MonomialCurve, MonomialSurface))
+        net = obj.coeffs if monomial else obj.control_points
+        # A curve is a net of one column, along u.
+        grid = [[p] for p in net] if isinstance(obj, (MonomialCurve, BezierCurve)) else net
+        n, m = len(grid) - 1, len(grid[0]) - 1
+        degree = n + m
+        nums, dens = over_common_denominators([p for row in grid for p in row])
+        # Along v for each row of the net, then along u.
+        table_v = [_basis(monomial, m, v, q) for v in vs]
+        rows = [combine_points(table_v, nums[i : i + m + 1]) for i in range(0, len(nums), m + 1)]
+        table_u = [_basis(monomial, n, u, q) for u in us]
+        points = list(zip(*[combine_points(table_u, column) for column in zip(*rows)]))
+    return points, [q**degree * d for d in dens]
+
+
+# Each kind's parameter count.
+_ARITY = {MonomialCurve: 1, BezierCurve: 1, MonomialSurface: 2, TensorPatch: 2, TrianglePatch: 2}
 
 
 def evaluate(obj, *params: Rational) -> Point3:
     """The point of any curve, surface or patch at its parameters: u for
-    a curve, (u, v) for the others."""
-    arity, evaluator = _EVALUATORS[type(obj)]
+    a curve, (u, v) for the others. One integer basis row per direction
+    (_sample), then one Fraction per coordinate; eval_monomial_* and
+    de_casteljau_* are the independent references the tests hold it to."""
+    arity = _ARITY[type(obj)]
     if len(params) != arity:
         takes = "u only" if arity == 1 else "u and v"
         raise ValueError(f"{type(obj).__name__} evaluation takes {takes}")
-    return evaluator(obj, *params)
+    params = [as_rational(t) for t in params]
+    q = lcm(*[t.denominator for t in params])
+    [[point]], dens = _sample(obj, q, *[[t.numerator * (q // t.denominator)] for t in params])
+    return Point3(*[Fraction(x, d) for x, d in zip(point, dens)])
 
 
 def barycentric_to_cartesian(tri: DomainTriangle, u: Rational, v: Rational) -> Point2:

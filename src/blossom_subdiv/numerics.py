@@ -36,14 +36,16 @@ _RATIONAL_PATTERN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # shared 2-vCPU host). So verify --max-degree and bench
 # --max-oracle-degree above this are refused.
 ORACLE_DEGREE_CAP = 5
-# mesh evaluates every sampled vertex exactly and holds them all, at about
-# 0.13-0.21 ms and 0.4 KB each on a degree-(3, 2) monomial surface
-# (Horner), and 2-3 us on a degree-(3, 2) tensor patch or a degree-5
-# triangle patch (forward differences, of which the float formatting is
-# about half; Python 3.11 on one core of a shared 2-vCPU host). So a mesh
-# of more sampled vertices than this (a 128 x 128 grid: about 2.2-3.5 s
-# and 6 MB on that monomial surface, 34 ms on that tensor patch) is
-# refused before any evaluation.
+# mesh evaluates every sampled vertex exactly and holds them all. At this
+# budget (Python 3.11 on one core of a shared 2-vCPU host) a vertex costs
+# about 2.4-2.9 us and 0.4-0.5 KB on a degree-(3, 2) monomial surface or
+# tensor patch or a degree-5 triangle patch, and 1-2 us on a cubic Bezier
+# curve (integer basis rows and forward differences, of which the float
+# formatting is about half). Monomial curves stay on Fraction Horner: 35
+# us a vertex at degree 3, 0.28 ms at degree 16 with h32 coefficients.
+# So a mesh of more sampled vertices than this (a 128 x 128 grid: about
+# 40 ms and 6 MB on that surface; 16,384 samples: about 4.5 s on that
+# degree-16 curve) is refused before any evaluation.
 MESH_VERTEX_BUDGET = 2**14
 
 

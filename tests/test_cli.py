@@ -479,16 +479,21 @@ MESH_9_NET_SHA256 = {
     "tpb_unit_square.json": "044a4b1a89622a2b19d420d0c4ad1278bbb9de1c19a1394e078d29364549ec6e",
 }
 
-# mesh --samples 33, the density perfbench meshes at, for every Bernstein
-# fixture; each digest was recorded before the sampler changed. The two
-# unit-domain documents come first, as they were pinned first, so that
-# their plain cases keep their test ids.
+# mesh --samples 33, the density perfbench meshes at, for every fixture;
+# each digest was recorded before the sampler that now computes it: the
+# Bernstein ones before forward differences, the monomial ones before
+# monomial surfaces left Horner. surface_3x2.json's equals
+# tpb_unit_square.json's, since both are one polynomial on the unit
+# square. The two unit-domain documents come first, as they were pinned
+# first, so that their plain cases keep their test ids.
 MESH_33_SHA256 = {
     "tb_unit_triangle.json": "7ea6cb9966c1f6b7d22ab839d4c0e4057d7b54f0704d80f17f2da25e72c35f49",
     "tpb_unit_square.json": "455c9f9f4196d6a8894c5bcf550af6dae12c0f7b4c719f2aeba7dc3562480991",
     "bezier_cubic.json": "ed3acf634120a89b1c13325b5536332eddc3c7d7f385543807f62a15737a916b",
     "tb_offset_triangle.json": "53166104e2288baeaf591a71fd40790f6d3b8336fc486518f1cc4dc31d5a7b3e",
     "tpb_inner_rect.json": "f3d59f6bff00da435718f4a005637ee94a598062d1ffc660733ede56f2538002",
+    "surface_3x2.json": "455c9f9f4196d6a8894c5bcf550af6dae12c0f7b4c719f2aeba7dc3562480991",
+    "curve_cubic.json": "fa43a726f25a774046288e0b159894b36ea043cc7e988d3ee705c6c80cda6b29",
 }
 MESH_33_NET_SHA256 = {
     "tb_unit_triangle.json": "1b408b15c4c64b5ff75b762f767b74cec1050ecd0d4714dcda5d2f423ebd75c3",
@@ -517,8 +522,11 @@ class TestMeshGolden:
 
     @pytest.mark.parametrize(
         "name,flags,digest",
-        [(n, [], d) for n, d in MESH_33_SHA256.items()]
-        + [(n, ["--with-net"], d) for n, d in MESH_33_NET_SHA256.items()],
+        # The monomial documents, which have no net, come last, so that
+        # the Bernstein cases keep their test ids.
+        [(n, [], d) for n, d in MESH_33_SHA256.items() if n in MESH_33_NET_SHA256]
+        + [(n, ["--with-net"], d) for n, d in MESH_33_NET_SHA256.items()]
+        + [(n, [], d) for n, d in MESH_33_SHA256.items() if n not in MESH_33_NET_SHA256],
     )
     def test_obj_bytes_at_33_samples(self, name, flags, digest, capsys):
         code, out, err = run(["mesh", "-i", str(DATA / name), "--samples", "33", *flags], capsys)

@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blossom_subdiv import (
@@ -26,6 +26,7 @@ from blossom_subdiv import (
     eval_monomial_surface,
     multinomial,
 )
+from blossom_subdiv.geometry import evaluate
 
 import golden
 
@@ -149,6 +150,53 @@ class TestDeCasteljau:
         for nu, mu, p in patch.labelled_points():
             direct = direct + triangle_bernstein(2, nu, mu, u, v) * p
         assert de_casteljau_triangle(patch, u, v) == direct
+
+
+# The independent evaluator of each kind, which evaluate() must equal.
+REFERENCES = {
+    MonomialCurve: eval_monomial_curve,
+    BezierCurve: de_casteljau_curve,
+    MonomialSurface: eval_monomial_surface,
+    TensorPatch: de_casteljau_tensor,
+    TrianglePatch: de_casteljau_triangle,
+}
+_H32_INT = st.integers(2**31, 2**32 - 1)
+h32 = st.builds(lambda p, q, s: Fraction(s * p, q), _H32_INT, _H32_INT, st.sampled_from([1, -1]))
+# 0 and 1, values outside [0, 1] (so u + v > 1 on triangles), and
+# parameters with h32-size denominators.
+parameters = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=20),
+    st.builds(Fraction, st.integers(-(2**33), 2**33), _H32_INT),
+)
+
+
+@st.composite
+def exact_objects(draw):
+    """Any of the five kinds, of degrees 0-6, with coordinates of one
+    height; zero is drawn on its own."""
+    coord = st.one_of(st.just(Fraction(0)), draw(st.sampled_from([rationals, h32])))
+    points = lambda k: st.lists(st.builds(Point3, coord, coord, coord), min_size=k, max_size=k)
+    kind = draw(st.sampled_from(list(REFERENCES)))
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if kind is MonomialCurve:
+        return MonomialCurve(draw(points(n + 1)))
+    if kind is BezierCurve:
+        return BezierCurve(draw(points(n + 1)), UNIT_INTERVAL)
+    if kind is TrianglePatch:
+        return TrianglePatch([draw(points(n - nu + 1)) for nu in range(n + 1)], golden.UNIT_TRIANGLE)
+    rows = [draw(points(m + 1)) for _ in range(n + 1)]
+    return MonomialSurface(rows) if kind is MonomialSurface else TensorPatch(rows, golden.UNIT_SQUARE)
+
+
+class TestEvaluate:
+    @given(exact_objects(), parameters, parameters)
+    @example(TrianglePatch([[Point3(1, -2, 3)]], golden.UNIT_TRIANGLE), Fraction(2, 3), Fraction(3, 4))
+    @example(MonomialCurve([Point3(Fraction(-5, 7), 0, 9)]), Fraction(-1, 2), Fraction(0))
+    @example(golden.unit_triangle_patch(), Fraction(5, 4), Fraction(-1, 3))
+    def test_equals_the_reference_evaluator(self, obj, u, v):
+        params = (u,) if isinstance(obj, (MonomialCurve, BezierCurve)) else (u, v)
+        assert evaluate(obj, *params) == REFERENCES[type(obj)](obj, *params)
 
 
 class TestPartitionOfUnity:

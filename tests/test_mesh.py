@@ -2,11 +2,13 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blossom_subdiv import (
     BezierCurve,
+    MonomialCurve,
+    MonomialSurface,
     Point3,
     TensorPatch,
     TrianglePatch,
@@ -219,6 +221,65 @@ class TestMeshMatchesEvaluation:
         text = mesh_document(obj, samples, with_net)
         got = [line for line in text.splitlines() if line.startswith("v ")]
         assert got == reference_vertices(obj, samples, with_net)
+
+
+@st.composite
+def monomial_objects(draw):
+    """A MonomialCurve or MonomialSurface of degrees 0-8, with coordinates
+    of one height."""
+    coord = st.one_of(st.just(Fraction(0)), draw(st.sampled_from([H9, H32])))
+    point = st.builds(Point3, coord, coord, coord)
+    points = lambda k: st.lists(point, min_size=k, max_size=k)
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        return MonomialCurve(draw(points(n + 1)))
+    return MonomialSurface([draw(points(m + 1)) for _ in range(n + 1)])
+
+
+def horner(values, k, g):
+    """g**degree times the polynomial with integer coefficients values
+    (constant term first) at k/g, by Horner's rule in integers."""
+    acc = 0
+    for power, c in enumerate(reversed(values)):
+        acc = acc * k + c * g**power
+    return acc
+
+
+def monomial_reference_vertices(obj, samples):
+    """The vertex lines of a monomial mesh, each point evaluated on its
+    own by Horner's rule in integers (each axis over one denominator) and
+    rounded by float(Fraction)."""
+    g = samples - 1
+    surface = isinstance(obj, MonomialSurface)
+    rows = obj.coeffs if surface else [obj.coeffs]
+    degree = len(rows) - 1 + len(rows[0]) - 1
+    axes = []
+    for a in range(3):
+        den = lcm(*(p.as_tuple()[a].denominator for row in rows for p in row))
+        ints = [[int(p.as_tuple()[a] * den) for p in row] for row in rows]
+        # Along v (a curve's one direction) for each row, then along u.
+        along_v = [[horner(row, l, g) for row in ints] for l in range(samples)]
+        if surface:
+            values = [horner(along_v[l], k, g) for k in range(samples) for l in range(samples)]
+        else:
+            values = [column[0] for column in along_v]
+        axes.append([Fraction(v, den * g**degree) for v in values])
+    return [vertex_line(coords) for coords in zip(*axes)]
+
+
+_H32_POINT = Point3(Fraction(-(2**32) + 5, 2**31 + 11), 0, Fraction(2**31 + 3, 2**32 - 17))
+
+
+class TestMonomialMeshMatchesHorner:
+    @settings(max_examples=100)
+    @given(monomial_objects(), st.integers(2, 40))
+    @example(MonomialSurface([[_H32_POINT] * 4] * 9), 4)
+    @example(MonomialCurve([_H32_POINT, Point3(0, 1, -1)] * 4 + [_H32_POINT]), 3)
+    def test_vertices_are_rounded_exact_evaluations(self, obj, samples):
+        """Samples up to the degree put some of the points that fix the
+        polynomial outside the grid."""
+        got = [line for line in mesh_document(obj, samples).splitlines() if line.startswith("v ")]
+        assert got == monomial_reference_vertices(obj, samples)
 
 
 def quad_records(samples, net):
