@@ -2,7 +2,8 @@
 
 Subcommands: subdivide-curve, subdivide-tpb, subdivide-tb, eval, verify,
 mesh, bench. Documents default to stdin/stdout, diagnostics go to stderr.
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -274,7 +275,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
-    code = main()
+    # Here, not in main, so that in-process callers still see the interrupt.
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        _error("interrupted")
+        code = 130
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

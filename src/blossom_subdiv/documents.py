@@ -25,11 +25,12 @@ from .geometry import (
     TrianglePatch,
 )
 
-# The document grammar: each kind's type, degree rank, points key (also
-# the type's attribute that holds them), domain keys and writer. A
-# document holds "kind", then "degree" (rank integers), then "domain" for
-# the patch kinds (a..b, a..b x c..d or three vertices), then the points:
-# one array level per degree, or labelled entries for a tb-patch.
+# The document grammar: each kind's type, degree rank, points key, domain
+# keys and writer. The points key is also the type's attribute that holds
+# the points, but for the tb-patch: TrianglePatch holds rows. A document
+# holds "kind", then "degree" (rank integers), then "domain" for the patch
+# kinds (a..b, a..b x c..d or three vertices), then the points: one array
+# level per degree, or labelled entries for a tb-patch.
 _KINDS = {
     "curve": (MonomialCurve, 1, "coeffs", None, "curve_document"),
     "surface": (MonomialSurface, 2, "coeffs", None, "surface_document"),
@@ -158,12 +159,18 @@ def _points_json(points, rank: int) -> list:
 
 
 def _write(kind: str, obj) -> dict:
-    """The document of any kind but the tb-patch."""
+    """The document of any kind."""
     _, rank, key, domain_keys, _ = _KINDS[kind]
     doc = {"kind": kind, "degree": [obj.degree] if rank == 1 else list(obj.degrees)}
     if domain_keys is not None:
         doc["domain"] = domain_to_json(obj.domain)
-    doc[key] = _points_json(getattr(obj, key), rank)
+    if kind == "tb-patch":
+        # Explicit (nu, mu) labels per point: self-describing rows are worth
+        # the bytes given how easy triangular index conventions are to mix up.
+        points = obj.labelled_points()
+        doc[key] = [{"nu": nu, "mu": mu, "point": point_to_json(p)} for nu, mu, p in points]
+    else:
+        doc[key] = _points_json(getattr(obj, key), rank)
     return doc
 
 
@@ -184,17 +191,7 @@ def tensor_patch_document(patch: TensorPatch) -> dict:
 
 
 def triangle_patch_document(patch: TrianglePatch) -> dict:
-    # Explicit (nu, mu) labels per point: self-describing rows are worth
-    # the bytes given how easy triangular index conventions are to mix up.
-    return {
-        "kind": "tb-patch",
-        "degree": [patch.degree],
-        "domain": domain_to_json(patch.domain),
-        "control_points": [
-            {"nu": nu, "mu": mu, "point": point_to_json(p)}
-            for nu, mu, p in patch.labelled_points()
-        ],
-    }
+    return _write("tb-patch", patch)
 
 
 def document(obj: Union[InputObject, PatchObject]) -> dict:

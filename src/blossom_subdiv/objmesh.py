@@ -2,15 +2,19 @@
 
 This is the one place rationals become floats: vertices are converted
 round-to-nearest and printed with 17 significant digits, everything
-upstream stays exact. Curves export as polylines, tensor patches as quad
-grids, triangular patches as barycentric triangle grids; --with-net adds
-the control net as line elements. Vertices are sampled in integers, the
-monomial surface like the Bernstein patches: geometry's exact sampler,
-which evaluate() uses too, gives the first degree + 1 values along each
-grid direction from integer basis rows (Farouki and Rajan, CAGD 1988),
-and forward differencing (Lien, Shantz and Pratt, SIGGRAPH 1987; Knuth,
-TAOCP 4.6.4) the rest at one addition per degree, vertex and axis.
-Monomial curves alone stay on Fraction Horner (see _vertex_lines)."""
+upstream stays exact. Every grid is numbered from the widths of its
+vertex rows alone (_grid): a curve is one row, a polyline; a tensor
+patch or monomial surface has rows of equal width, joined by quads; a
+triangular patch has rows one shorter each time, joined by triangles.
+--with-net adds the control net after the vertices as line elements,
+numbered the same way from the net's own rows. Vertices are sampled in
+integers, the monomial surface like the Bernstein patches: geometry's
+exact sampler, which evaluate() uses too, gives the first degree + 1
+values along each grid direction from integer basis rows (Farouki and
+Rajan, CAGD 1988), and forward differencing (Lien, Shantz and Pratt,
+SIGGRAPH 1987; Knuth, TAOCP 4.6.4) the rest at one addition per degree,
+vertex and axis. Monomial curves alone stay on Fraction Horner (see
+_vertex_lines)."""
 
 from __future__ import annotations
 
@@ -67,9 +71,34 @@ def _sums(diffs: Sequence[int], count: int) -> list[int]:
     return list(values)
 
 
+def _grid(obj: Meshable, samples: int) -> tuple[Sequence[int], list[int], Sequence | None]:
+    """(widths, degrees, net) of a mesh: the length of each vertex row in
+    OBJ order, the degree along each direction the sampler reads, and the
+    rows of the control net, None for monomial inputs. A curve is one row
+    of samples; a tensor patch or monomial surface samples rows of
+    samples; a triangle rows of samples, samples - 1, ..., 1, row r at the
+    first barycentric weight r/(samples - 1). A mesh of more than
+    MESH_VERTEX_BUDGET vertices is refused before any row is built."""
+    triangle = isinstance(obj, TrianglePatch)
+    if triangle:
+        vertices, degrees, net = samples * (samples + 1) // 2, [obj.degree] * 2, obj.rows
+    elif isinstance(obj, (MonomialCurve, BezierCurve)):
+        vertices, degrees = samples, [obj.degree]
+        net = [obj.control_points] if isinstance(obj, BezierCurve) else None
+    else:
+        vertices, degrees = samples * samples, list(obj.degrees)
+        net = getattr(obj, "control_points", None)
+    if vertices > MESH_VERTEX_BUDGET:
+        raise ValueError(
+            f"{samples} samples per edge give {vertices} mesh vertices, "
+            f"over the budget of {MESH_VERTEX_BUDGET}"
+        )
+    return range(samples, 0, -1) if triangle else [samples] * (vertices // samples), degrees, net
+
+
 def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
-    """Vertex lines at the parameters k/(samples - 1), in the order the
-    polyline, quad grid or triangle grid numbers them."""
+    """Vertex lines at the parameters k/(samples - 1), row by row as _grid
+    lays them out."""
     g = samples - 1
     if isinstance(patch, MonomialCurve):
         # Fraction Horner, not the sampler below, until perfbench stops
@@ -81,19 +110,10 @@ def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
     # Each axis is an integer polynomial in the grid indices (r, c), over
     # dens, fixed by the values corner[r][c] for r, c <= degree (r + c <=
     # degree on a triangle), in the grid or not.
-    if isinstance(patch, BezierCurve):
-        # The sampler puts a curve along u: make it one grid row.
-        corner, dens = _sample(patch, g, range(patch.degree + 1))
-        corner, widths = list(zip(*corner)), [samples]
-    elif isinstance(patch, TrianglePatch):
-        ks = range(patch.degree + 1)
-        # Grid rows r by the first barycentric weight r/g.
-        corner, dens = _sample(patch, g, ks, ks)
-        widths = range(samples, 0, -1)
-    else:
-        n, m = patch.degrees
-        corner, dens = _sample(patch, g, range(n + 1), range(m + 1))
-        widths = [samples] * samples
+    widths, degrees, _ = _grid(patch, samples)
+    corner, dens = _sample(patch, g, *[range(d + 1) for d in degrees])
+    if len(widths) == 1:  # the sampler puts a curve along u: make it one grid row
+        corner = list(zip(*corner))
     axes = []
     for a in range(3):
         diffs = [_differences([p[a] for p in row]) for row in corner]
@@ -105,57 +125,39 @@ def _vertex_lines(patch: Meshable, samples: int) -> list[str]:
     return _vertex_text(zip(*axes), dens)
 
 
-def _polyline(vertices: list[str], net: Sequence[Point3] | None) -> list[str]:
-    lines = ["g curve", *vertices]
-    lines.append("l " + " ".join(str(k + 1) for k in range(len(vertices))))
-    if net:
-        lines += ["g control-net", *[_vertex(p) for p in net]]
-        if len(net) > 1:  # an l element joins at least two vertices
-            lines.append("l " + " ".join(str(len(vertices) + k + 1) for k in range(len(net))))
-    return lines
-
-
-def _quad_grid(
-    vertices: list[str], samples: int, net: Sequence[Sequence[Point3]] | None
-) -> list[str]:
-    lines = ["g patch", *vertices]
-    # Row r starts at OBJ number s * r + 1, so a and a + s number (r, c) and (r + 1, c).
-    s = samples
-    starts = range(1, s * s - s, s)
-    lines += [f"f {a} {a + s} {a + s + 1} {a + 1}" for r in starts for a in range(r, r + s - 1)]
-    if net:
-        lines += ["g control-net", *[_vertex(p) for row in net for p in row]]
-        w = len(net[0])
-        ids = [[str(s * s + r * w + c + 1) for c in range(w)] for r in range(len(net))]
-        lines += ["l " + " ".join(line) for line in [*ids, *zip(*ids)] if len(line) > 1]
-    return lines
-
-
-def _triangle_id(base: int, size: int, r: int, c: int) -> int:
-    """OBJ number of point c of row r in a triangular grid whose rows
-    hold size, size - 1, ... points, numbered row by row after base."""
-    return base + r * size - r * (r - 1) // 2 + c + 1
-
-
-def _triangle_grid(vertices: list[str], samples: int, net: TrianglePatch | None) -> list[str]:
-    lines = ["g patch", *vertices]
-    start = 1  # OBJ number of point (r, 0); row r holds w = samples - r points
-    for w in range(samples, 1, -1):
-        for a in range(start, start + w - 1):  # a and a + w number (r, c) and (r + 1, c)
-            lines.append(f"f {a} {a + w} {a + 1}")
-            if a < start + w - 2:
+def _faces(widths: Sequence[int]) -> list[str]:
+    """f records between consecutive vertex rows of the given widths,
+    numbered from 1: quads where the next row is as long, triangles where
+    it is one shorter."""
+    lines, start = [], 1
+    for w, below in zip(widths, widths[1:]):
+        ids = range(start, start + w - 1)  # a and a + w number (r, c) and (r + 1, c)
+        if below == w:
+            lines += [f"f {a} {a + w} {a + w + 1} {a + 1}" for a in ids]
+        else:  # one upward triangle per cell, and a downward one between two
+            for a in ids:
+                lines.append(f"f {a} {a + w} {a + 1}")
                 lines.append(f"f {a + w} {a + w + 1} {a + 1}")
+            lines.pop()
         start += w
-    if net:
-        lines += ["g control-net", *[_vertex(p) for _, _, p in net.labelled_points()]]
-        base = samples * (samples + 1) // 2
-        nid = lambda nu, mu: _triangle_id(base, net.degree + 1, nu, mu)
-        for nu, mu, _ in net.labelled_points():
-            if nu + mu < net.degree:
-                lines.append(f"l {nid(nu, mu)} {nid(nu + 1, mu)}")
-                lines.append(f"l {nid(nu, mu)} {nid(nu, mu + 1)}")
-                lines.append(f"l {nid(nu + 1, mu)} {nid(nu, mu + 1)}")
     return lines
+
+
+def _net(widths: Sequence[int], base: int) -> list[str]:
+    """l records of rows of the given widths, numbered from base + 1: each
+    row and column of a grid (a curve is one row), or the three edges of
+    each upward cell where the rows shrink by one, as a triangle net's do."""
+    starts = accumulate(widths, initial=base + 1)
+    ids = [range(start, start + w) for start, w in zip(starts, widths)]
+    if len(ids[-1]) == len(ids[0]):
+        # An l element joins at least two vertices.
+        return ["l " + " ".join(map(str, line)) for line in [*ids, *zip(*ids)] if len(line) > 1]
+    return [
+        f"l {a} {b}"
+        for row, below in zip(ids, ids[1:])
+        for p, q, r in zip(row, below, row[1:])
+        for a, b in ((p, q), (p, r), (q, r))
+    ]
 
 
 def mesh_document(obj: Meshable, samples: int, with_net: bool = False) -> str:
@@ -169,20 +171,13 @@ def mesh_document(obj: Meshable, samples: int, with_net: bool = False) -> str:
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples per edge, got {samples}")
-    curve, triangle = isinstance(obj, (MonomialCurve, BezierCurve)), isinstance(obj, TrianglePatch)
-    vertices = samples if curve else samples * (samples + 1) // 2 if triangle else samples * samples
-    if vertices > MESH_VERTEX_BUDGET:
-        raise ValueError(
-            f"{samples} samples per edge give {vertices} mesh vertices, "
-            f"over the budget of {MESH_VERTEX_BUDGET}"
-        )
+    widths, _, net = _grid(obj, samples)
     vertex_lines = _vertex_lines(obj, samples)
-    # Monomial documents have no control net.
-    net = getattr(obj, "control_points", None) if with_net else None
-    if curve:
-        lines = _polyline(vertex_lines, net)
-    elif triangle:
-        lines = _triangle_grid(vertex_lines, samples, obj if with_net else None)
+    if len(widths) == 1:
+        lines = ["g curve", *vertex_lines, *_net(widths, 0)]
     else:
-        lines = _quad_grid(vertex_lines, samples, net)
+        lines = ["g patch", *vertex_lines, *_faces(widths)]
+    if with_net and net:
+        lines += ["g control-net", *[_vertex(p) for row in net for p in row]]
+        lines += _net([len(row) for row in net], len(vertex_lines))
     return "\n".join(lines) + "\n"

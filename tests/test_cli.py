@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blossom_subdiv.cli import build_parser, main
+from blossom_subdiv.cli import build_parser, entry, main
 from blossom_subdiv.documents import (
     curve_document,
     dumps,
@@ -272,6 +272,26 @@ class TestVerify:
     def test_degree_zero_passes(self, capsys):
         code, _, _ = run(["verify", "--trials", "2", "--max-degree", "0"], capsys)
         assert code == 0
+
+    def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch):
+        """Ctrl-C ends the script with one diagnostic line, no traceback;
+        main lets the interrupt through to in-process callers."""
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("blossom_subdiv.verify.run_verification", interrupted)
+        argv = ["verify", "--trials", "1000", "--max-degree", "5"]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        monkeypatch.setattr("sys.argv", ["blossom-subdiv", *argv])
+        with pytest.raises(SystemExit) as exc:
+            try:
+                entry()
+            except KeyboardInterrupt:  # would stop the whole test run
+                pytest.fail("entry() let the interrupt through")
+        assert exc.value.code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
 
     @pytest.mark.parametrize(
         "shape,oracle",

@@ -334,27 +334,31 @@ class TestGridRecords:
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_polyline(self, n):
-        curve = BezierCurve([Point3(k, 2 * k, 0) for k in range(n + 1)], ParamInterval(0, 1))
-        for samples in range(2, 41):
-            text = mesh_document(curve, samples, with_net=True)
-            # The polyline, then the control polygon, which a degree-0
-            # curve lacks: an l element needs two vertices.
-            ids = [range(1, samples + 1), range(samples + 1, samples + n + 2)]
-            want = ["l " + " ".join(map(str, line)) for line in ids if len(line) > 1]
-            assert (records(text, "f"), records(text, "l")) == ([], want)
-            assert len(vertices(text)) == samples + n + 1
+        points = [Point3(k, 2 * k, 0) for k in range(n + 1)]
+        for curve in (BezierCurve(points, ParamInterval(0, 1)), MonomialCurve(points)):
+            # A monomial curve has no control net.
+            net = n + 1 if isinstance(curve, BezierCurve) else 0
+            for samples in range(2, 41):
+                text = mesh_document(curve, samples, with_net=True)
+                # The polyline, then the control polygon, which a degree-0
+                # curve lacks: an l element needs two vertices.
+                ids = [range(1, samples + 1), range(samples + 1, samples + net + 1)]
+                want = ["l " + " ".join(map(str, line)) for line in ids if len(line) > 1]
+                assert (records(text, "f"), records(text, "l")) == ([], want)
+                assert len(vertices(text)) == samples + net
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 2), (1, 2), (3, 1), (2, 0)])
     def test_quad_grid(self, n, m):
-        patch = TensorPatch(
-            [[Point3(i, j, i * j) for j in range(m + 1)] for i in range(n + 1)], golden.UNIT_SQUARE
-        )
-        for samples in range(2, 41):
-            for with_net in (False, True):
-                text = mesh_document(patch, samples, with_net)
-                got = records(text, "f") + records(text, "l")
-                net = patch.control_points if with_net else None
-                assert got == quad_records(samples, net), (samples, with_net)
+        grid = [[Point3(i, j, i * j) for j in range(m + 1)] for i in range(n + 1)]
+        for patch in (TensorPatch(grid, golden.UNIT_SQUARE), MonomialSurface(grid)):
+            for samples in range(2, 41):
+                for with_net in (False, True):
+                    text = mesh_document(patch, samples, with_net)
+                    got = records(text, "f") + records(text, "l")
+                    # A monomial surface has no control net.
+                    net = getattr(patch, "control_points", None) if with_net else None
+                    want = quad_records(samples, net)
+                    assert got == want, (type(patch).__name__, samples, with_net)
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_triangle_grid(self, n):
